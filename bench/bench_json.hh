@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON report writer for the perf-trajectory file
  * BENCH_core.json. Several benches contribute sections to one file
- * (ns/op, ticks/sec, fast-path speedups), so the writer re-reads the
+ * (ns/op, ticks/sec, backend speedups), so the writer re-reads the
  * existing file and merges: the on-disk format is a fixed two-level
  * object { "section": { "key": number } } and the parser accepts
  * exactly that shape (anything else starts the file fresh).

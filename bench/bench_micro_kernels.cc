@@ -143,8 +143,7 @@ BM_Acs4Distributed(benchmark::State &state)
 // perf trajectory is tracked across PRs.
 
 double
-coreTicksPerSec(SchedulerKind kind, Tick &ticks_out,
-                unsigned team = 0)
+coreTicksPerSec(SchedulerKind kind, Tick &ticks_out)
 {
     using clock = std::chrono::steady_clock;
     double best_tps = 0;
@@ -152,7 +151,6 @@ coreTicksPerSec(SchedulerKind kind, Tick &ticks_out,
         arch::ChipConfig cfg;
         cfg.dividers = {8, 8, 4, 2};
         cfg.scheduler = kind;
-        cfg.parallel_columns = team;
         arch::Chip chip(cfg);
         for (unsigned c = 0; c < chip.numColumns(); ++c) {
             chip.column(c).controller().loadProgram(isa::assemble(R"(
@@ -227,39 +225,20 @@ emitBenchJson()
     bench::JsonReport report;
 
     Tick ticks = 0;
-    double fast_tps = coreTicksPerSec(SchedulerKind::FastEdge, ticks);
     double eq_tps =
         coreTicksPerSec(SchedulerKind::EventQueue, ticks);
     double comp_tps =
         coreTicksPerSec(SchedulerKind::Compiled, ticks);
-    // Automatic team sizing: on a multi-core host the columns run
-    // on a real thread team; parallel_speedup is measured against
-    // the serial backend it parallelizes (FastEdge), so <1 on a
-    // starved CI box is an honest number, not a regression.
-    double par_tps =
-        coreTicksPerSec(SchedulerKind::ParallelColumns, ticks);
-    report.set("core", "fastpath_ticks_per_sec", fast_tps);
     report.set("core", "eventq_ticks_per_sec", eq_tps);
     report.set("core", "compiled_ticks_per_sec", comp_tps);
-    report.set("core", "parallel_ticks_per_sec", par_tps);
-    report.set("core", "fastpath_speedup", fast_tps / eq_tps);
     report.set("core", "compiled_speedup", comp_tps / eq_tps);
-    report.set("core", "parallel_speedup", par_tps / fast_tps);
     report.set("core", "run_ticks", double(ticks));
 
-    double ddc_fast = ddcTicksPerSec(SchedulerKind::FastEdge);
     double ddc_eq = ddcTicksPerSec(SchedulerKind::EventQueue);
     double ddc_comp = ddcTicksPerSec(SchedulerKind::Compiled);
-    double ddc_par =
-        ddcTicksPerSec(SchedulerKind::ParallelColumns);
-    report.set("mapped_ddc", "fastpath_ticks_per_sec", ddc_fast);
     report.set("mapped_ddc", "eventq_ticks_per_sec", ddc_eq);
     report.set("mapped_ddc", "compiled_ticks_per_sec", ddc_comp);
-    report.set("mapped_ddc", "parallel_ticks_per_sec", ddc_par);
-    report.set("mapped_ddc", "fastpath_speedup", ddc_fast / ddc_eq);
     report.set("mapped_ddc", "compiled_speedup", ddc_comp / ddc_eq);
-    report.set("mapped_ddc", "parallel_speedup",
-               ddc_par / ddc_fast);
 
     auto taps = dsp::designLowpassQ15(21, 0.2);
     auto x = randomQ15(256, 1);
@@ -276,14 +255,11 @@ emitBenchJson()
     if (!report.write())
         std::fprintf(stderr, "warning: could not write "
                              "BENCH_core.json\n");
-    std::printf("\nBENCH_core.json: core fast-path %.3g ticks/s, "
-                "event-queue %.3g, compiled %.3g (%.2fx), parallel "
-                "%.3g (%.2fx of fast-path); mapped DDC compiled "
-                "%.3g ticks/s = %.2fx event-queue, parallel %.2fx "
-                "of fast-path\n",
-                fast_tps, eq_tps, comp_tps, comp_tps / eq_tps,
-                par_tps, par_tps / fast_tps, ddc_comp,
-                ddc_comp / ddc_eq, ddc_par / ddc_fast);
+    std::printf("\nBENCH_core.json: core event-queue %.3g ticks/s, "
+                "compiled %.3g (%.2fx); mapped DDC compiled %.3g "
+                "ticks/s = %.2fx event-queue\n",
+                eq_tps, comp_tps, comp_tps / eq_tps, ddc_comp,
+                ddc_comp / ddc_eq);
 }
 
 } // namespace
@@ -301,7 +277,7 @@ main(int argc, char **argv)
 {
     // --backend governs the BM_* kernel harnesses (their chips are
     // built with default configs); the JSON trajectory below always
-    // measures all four backends regardless.
+    // measures both backends regardless.
     setDefaultSchedulerKind(backendFromArgs(argc, argv));
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

@@ -24,22 +24,20 @@ int
 main(int argc, char **argv)
 {
     // --backend picks which run's power/throughput is reported as
-    // "this run"; all three backends are always measured.
-    const SchedulerKind primary =
-        backendFromArgs(argc, argv, SchedulerKind::FastEdge);
+    // "this run"; both backends are always measured.
+    const SchedulerKind primary = backendFromArgs(argc, argv);
     MotionPipelineParams params;
 
     std::printf("mapped MPEG-4 motion estimation, %ux%u, +-%d "
                 "search over %u shard columns, every backend:\n",
                 MotionWidth, MotionHeight, MotionRange,
                 MotionColumns);
-    MappedMotionRun runs[3];
-    double wall[3] = {0, 0, 0};
-    SchedulerKind kinds[3] = {SchedulerKind::FastEdge,
-                              SchedulerKind::EventQueue,
+    MappedMotionRun runs[2];
+    double wall[2] = {0, 0};
+    SchedulerKind kinds[2] = {SchedulerKind::EventQueue,
                               SchedulerKind::Compiled};
     int pidx = 0;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
         if (kinds[i] == primary)
             pidx = i;
         params.scheduler = kinds[i];
@@ -53,18 +51,13 @@ main(int argc, char **argv)
                     runs[i].bit_exact ? "bit-exact" : "MISMATCH",
                     (unsigned long long)runs[i].overruns);
     }
-    bool identical = true;
-    for (int i = 0; i < 3; ++i)
-        identical = identical && runs[i].ticks == runs[1].ticks &&
-                    runs[i].output_keys == runs[1].output_keys &&
-                    runs[i].stats == runs[1].stats;
-    double speedup = wall[1] > 0 ? wall[1] / wall[0] : 0.0;
-    double compiled_speedup = wall[2] > 0 ? wall[1] / wall[2] : 0.0;
-    std::printf("  fast-path speedup %.2fx, compiled %.2fx, "
-                "backends %s, pan hit "
+    const bool identical = runs[1].ticks == runs[0].ticks &&
+                           runs[1].output_keys == runs[0].output_keys &&
+                           runs[1].stats == runs[0].stats;
+    double compiled_speedup = wall[1] > 0 ? wall[0] / wall[1] : 0.0;
+    std::printf("  compiled speedup %.2fx, backends %s, pan hit "
                 "rate %.0f%%\n",
-                speedup, compiled_speedup,
-                identical ? "identical" : "MISMATCH",
+                compiled_speedup, identical ? "identical" : "MISMATCH",
                 100.0 * runs[pidx].pan_hit_rate);
 
     // --- measured power next to the paper's Table 4 row ----------
@@ -83,17 +76,13 @@ main(int argc, char **argv)
 
     bench::JsonReport report("BENCH_motion.json");
     report.set("motion_dag", "ticks", double(runs[0].ticks));
-    report.set("motion_dag", "fast_mticks_per_s",
-               double(runs[0].ticks) / wall[0] / 1e6);
     report.set("motion_dag", "eventq_mticks_per_s",
-               double(runs[1].ticks) / wall[1] / 1e6);
-    report.set("motion_dag", "fast_speedup", speedup);
+               double(runs[0].ticks) / wall[0] / 1e6);
     report.set("motion_dag", "compiled_mticks_per_s",
-               double(runs[2].ticks) / wall[2] / 1e6);
+               double(runs[1].ticks) / wall[1] / 1e6);
     report.set("motion_dag", "compiled_speedup", compiled_speedup);
     report.set("motion_dag", "bit_exact",
-               runs[0].bit_exact && runs[1].bit_exact &&
-                       runs[2].bit_exact && identical
+               runs[0].bit_exact && runs[1].bit_exact && identical
                    ? 1.0
                    : 0.0);
     report.set("motion_dag", "sustained_kmb_s",
@@ -111,8 +100,7 @@ main(int argc, char **argv)
     else
         std::printf("\nwrote BENCH_motion.json\n");
 
-    return runs[0].bit_exact && runs[1].bit_exact &&
-                   runs[2].bit_exact && identical &&
+    return runs[0].bit_exact && runs[1].bit_exact && identical &&
                    runs[pidx].overruns == 0 &&
                    runs[pidx].conflicts == 0
                ? 0

@@ -23,22 +23,19 @@ int
 main(int argc, char **argv)
 {
     // --backend picks which run's power/throughput is reported as
-    // "this run"; all four backends are always measured.
-    const SchedulerKind primary =
-        backendFromArgs(argc, argv, SchedulerKind::FastEdge);
+    // "this run"; both backends are always measured.
+    const SchedulerKind primary = backendFromArgs(argc, argv);
     DdcPipelineParams params;
     params.samples = 2048;
 
     std::printf("mapped DDC receiver, %u samples, every backend:\n",
                 params.samples);
-    MappedDdcRun runs[4];
-    double wall[4] = {0, 0, 0, 0};
-    SchedulerKind kinds[4] = {SchedulerKind::FastEdge,
-                              SchedulerKind::EventQueue,
-                              SchedulerKind::Compiled,
-                              SchedulerKind::ParallelColumns};
+    MappedDdcRun runs[2];
+    double wall[2] = {0, 0};
+    SchedulerKind kinds[2] = {SchedulerKind::EventQueue,
+                              SchedulerKind::Compiled};
     int pidx = 0;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 2; ++i) {
         if (kinds[i] == primary)
             pidx = i;
         params.scheduler = kinds[i];
@@ -52,21 +49,12 @@ main(int argc, char **argv)
                     runs[i].bit_exact ? "bit-exact" : "MISMATCH",
                     (unsigned long long)runs[i].overruns);
     }
-    bool identical = true;
-    for (int i = 0; i < 4; ++i)
-        identical = identical && runs[i].ticks == runs[1].ticks &&
-                    runs[i].output == runs[1].output &&
-                    runs[i].stats == runs[1].stats;
-    double speedup = wall[1] > 0 ? wall[1] / wall[0] : 0.0;
-    double compiled_speedup = wall[2] > 0 ? wall[1] / wall[2] : 0.0;
-    // Against the serial backend it parallelizes, not the event
-    // queue — an honest column-threading number even where the
-    // host has no spare cores.
-    double parallel_speedup = wall[3] > 0 ? wall[0] / wall[3] : 0.0;
-    std::printf("  fast-path speedup %.2fx, compiled %.2fx, "
-                "parallel %.2fx of fast-path, backends %s\n",
-                speedup, compiled_speedup, parallel_speedup,
-                identical ? "identical" : "MISMATCH");
+    const bool identical = runs[1].ticks == runs[0].ticks &&
+                           runs[1].output == runs[0].output &&
+                           runs[1].stats == runs[0].stats;
+    double compiled_speedup = wall[1] > 0 ? wall[0] / wall[1] : 0.0;
+    std::printf("  compiled speedup %.2fx, backends %s\n",
+                compiled_speedup, identical ? "identical" : "MISMATCH");
 
     // --- measured power next to the paper's Table 4 DDC row ------
     const auto &pw = runs[pidx].power;
@@ -94,21 +82,13 @@ main(int argc, char **argv)
 
     bench::JsonReport report("BENCH_pipeline.json");
     report.set("pipeline_ddc", "ticks", double(runs[0].ticks));
-    report.set("pipeline_ddc", "fast_mticks_per_s",
-               double(runs[0].ticks) / wall[0] / 1e6);
     report.set("pipeline_ddc", "eventq_mticks_per_s",
-               double(runs[1].ticks) / wall[1] / 1e6);
-    report.set("pipeline_ddc", "fast_speedup", speedup);
+               double(runs[0].ticks) / wall[0] / 1e6);
     report.set("pipeline_ddc", "compiled_mticks_per_s",
-               double(runs[2].ticks) / wall[2] / 1e6);
+               double(runs[1].ticks) / wall[1] / 1e6);
     report.set("pipeline_ddc", "compiled_speedup", compiled_speedup);
-    report.set("pipeline_ddc", "parallel_mticks_per_s",
-               double(runs[3].ticks) / wall[3] / 1e6);
-    report.set("pipeline_ddc", "parallel_speedup", parallel_speedup);
     report.set("pipeline_ddc", "bit_exact",
-               runs[0].bit_exact && runs[1].bit_exact &&
-                       runs[2].bit_exact && runs[3].bit_exact &&
-                       identical
+               runs[0].bit_exact && runs[1].bit_exact && identical
                    ? 1.0
                    : 0.0);
     report.set("pipeline_ddc", "sustained_msps",
@@ -123,9 +103,8 @@ main(int argc, char **argv)
     else
         std::printf("\nwrote BENCH_pipeline.json\n");
 
-    return runs[0].bit_exact && runs[1].bit_exact &&
-                   runs[2].bit_exact && runs[3].bit_exact &&
-                   identical && runs[pidx].overruns == 0
+    return runs[0].bit_exact && runs[1].bit_exact && identical &&
+                   runs[pidx].overruns == 0
                ? 0
                : 1;
 }

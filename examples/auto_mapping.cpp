@@ -13,12 +13,12 @@
  * kernels and the static transfer schedule onto the planned columns;
  * the chip then streams samples through the mapped receiver and the
  * output is checked bit-exactly against the dsp:: golden chain —
- * cross-checked on all three scheduler backends, with
+ * cross-checked on both scheduler backends, with
  * measured-activity power priced next to the plan's analytic
  * estimate.
  *
- * `--backend eventq|fastedge|compiled` picks the run used for the
- * power report; the cross-check always covers all three.
+ * `--backend eventq|compiled` picks the run used for the power
+ * report; the cross-check always covers both.
  */
 
 #include <cstdio>
@@ -52,12 +52,11 @@ main(int argc, char **argv)
     std::printf("\n");
 
     // --- run the real mapped receiver on every backend ----------
-    MappedDdcRun runs[3];
-    const SchedulerKind kinds[3] = {SchedulerKind::FastEdge,
-                                    SchedulerKind::EventQueue,
+    MappedDdcRun runs[2];
+    const SchedulerKind kinds[2] = {SchedulerKind::EventQueue,
                                     SchedulerKind::Compiled};
     int pidx = 0;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
         if (kinds[i] == primary)
             pidx = i;
         params.scheduler = kinds[i];
@@ -77,19 +76,14 @@ main(int argc, char **argv)
     }
 
     // --- cross-check: everything observable must be identical ---
-    bool identical = true;
-    for (int i = 0; i < 3; ++i) {
-        identical = identical &&
-                    runs[i].result.exit == runs[1].result.exit &&
-                    runs[i].ticks == runs[1].ticks &&
-                    runs[i].output == runs[1].output &&
-                    runs[i].stats == runs[1].stats;
-    }
-    std::printf("\nbackend cross-check (fastedge/compiled vs "
-                "event-queue): %s (all at tick %llu, all stats "
-                "compared)\n",
+    const bool identical = runs[1].result.exit == runs[0].result.exit &&
+                           runs[1].ticks == runs[0].ticks &&
+                           runs[1].output == runs[0].output &&
+                           runs[1].stats == runs[0].stats;
+    std::printf("\nbackend cross-check (compiled vs event-queue): "
+                "%s (both at tick %llu, all stats compared)\n",
                 identical ? "identical" : "MISMATCH",
-                (unsigned long long)runs[1].ticks);
+                (unsigned long long)runs[0].ticks);
 
     // --- measured power vs the plan's analytic estimate ---------
     std::printf("\npower report from the %s run:\n",
@@ -107,7 +101,6 @@ main(int argc, char **argv)
                 plan->single_voltage.total());
 
     bool ok = identical && runs[0].bit_exact && runs[1].bit_exact &&
-              runs[2].bit_exact && runs[pidx].overruns == 0 &&
-              runs[pidx].conflicts == 0;
+              runs[pidx].overruns == 0 && runs[pidx].conflicts == 0;
     return ok ? 0 : 1;
 }

@@ -42,7 +42,6 @@ MappedApp::MappedApp(const MappedAppParams &params,
     cfg.ref_freq_mhz = plan_.ref_freq_mhz;
     cfg.dividers = plan_.dividers();
     cfg.scheduler = params_.scheduler;
-    cfg.parallel_columns = params_.parallel_team;
     cfg.self_timed_bus = prog.self_timed;
     chip_ = std::make_unique<arch::Chip>(cfg);
     prog.load(*chip_);

@@ -51,14 +51,6 @@ struct MappedAppParams
     /** Execution backend. */
     SchedulerKind scheduler = defaultSchedulerKind();
 
-    /**
-     * Column team size for the ParallelColumns backend (see
-     * arch::ChipConfig::parallel_columns): 0 = automatic, 1 =
-     * serial, larger = that many team threads. Ignored by the
-     * serial backends.
-     */
-    unsigned parallel_team = 0;
-
     /** Tick budget for the run; fatal() if the chip does not drain. */
     Tick tick_limit = 0;
 

@@ -16,7 +16,7 @@
  * Capability views take the app's own params struct (DdcPipelineParams,
  * WifiPipelineParams, ...) wrapped in std::any; an empty any means
  * the app's defaults. Callers that only need the common knobs
- * (backend, team size, seed) can build params generically from an
+ * (backend, seed) can build params generically from an
  * AppTuning via AppDescriptor::params() without naming the app's
  * type at all — that's what lets the explorer/fleet tests and
  * benches iterate "for every registered app".
@@ -56,7 +56,6 @@ namespace synchro::apps
 struct AppTuning
 {
     std::optional<SchedulerKind> scheduler;
-    std::optional<unsigned> parallel_team;
     std::optional<uint32_t> seed;
 };
 

@@ -412,7 +412,6 @@ runMappedMotion(const MotionPipelineParams &p)
     MappedAppParams hp;
     hp.app = "motion";
     hp.scheduler = p.scheduler;
-    hp.parallel_team = p.parallel_team;
     hp.tick_limit = motionTickLimit(p.columns, prog);
     hp.priced_items = MotionMbs;
     MappedApp app(hp, *plan, prog);
@@ -533,9 +532,10 @@ fleetMotionImpl(const MotionPipelineParams &p)
     auto plan =
         std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
 
-    // The canonical program for the warm-path hooks: the lowering
-    // depends only on the app parameters (its images are replaced
-    // per item), so one program serves every stream and item.
+    // The canonical program, lowered (and verified) once: the
+    // lowering depends only on the app parameters (its images are
+    // replaced per item), so one program serves the template build
+    // and every stream and item.
     const double rate = p.mb_rate_hz / p.columns;
     auto canon = [&] {
         dsp::Image cur(W, H), ref(W, H);
@@ -549,12 +549,8 @@ fleetMotionImpl(const MotionPipelineParams &p)
     sim::FleetWorkload wl;
     wl.name = "motion";
     wl.tick_limit = motionTickLimit(p.columns, *prog);
-    wl.build = [p, plan, rate](SchedulerKind kind) {
-        dsp::Image cur(W, H), ref(W, H);
-        motionScene(p, cur, ref);
-        auto built = mapping::lowerDag(motionDag(p, cur, ref), *plan,
-                                       rate, p.slack);
-        return buildFleetChip(*plan, built, kind);
+    wl.build = [plan, prog](SchedulerKind kind) {
+        return buildFleetChip(*plan, *prog, kind);
     };
     wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
         MotionPipelineParams q = p;
@@ -599,8 +595,6 @@ detail::registerMotionApp(AppRegistry &reg)
         MotionPipelineParams p;
         if (t.scheduler)
             p.scheduler = *t.scheduler;
-        if (t.parallel_team)
-            p.parallel_team = *t.parallel_team;
         if (t.seed)
             p.seed = *t.seed;
         return std::any(p);

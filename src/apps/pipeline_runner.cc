@@ -423,7 +423,6 @@ runMappedDdc(const DdcPipelineParams &p)
     MappedAppParams hp;
     hp.app = "ddc";
     hp.scheduler = p.scheduler;
-    hp.parallel_team = p.parallel_team;
     hp.tick_limit = ddcTickLimit(p, prog);
     hp.priced_items = p.samples;
     MappedApp app(hp, *plan, prog);
@@ -505,9 +504,10 @@ fleetDdcImpl(const DdcPipelineParams &p)
     auto plan =
         std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
 
-    // The canonical program for the warm-path hooks: the lowering
-    // depends only on the app parameters (its images are replaced
-    // per item), so one program serves every stream and item.
+    // The canonical program, lowered (and verified) once: the
+    // lowering depends only on the app parameters (its images are
+    // replaced per item), so one program serves the template build
+    // and every stream and item.
     auto prog = std::make_shared<mapping::PipelineProgram>(
         mapping::lowerPipeline(ddcStages(p, ddcInput(p)), *plan,
                                p.sample_rate_hz / Decim, p.slack));
@@ -515,11 +515,8 @@ fleetDdcImpl(const DdcPipelineParams &p)
     sim::FleetWorkload wl;
     wl.name = "ddc";
     wl.tick_limit = ddcTickLimit(p, *prog);
-    wl.build = [p, plan](SchedulerKind kind) {
-        auto built = mapping::lowerPipeline(
-            ddcStages(p, ddcInput(p)), *plan,
-            p.sample_rate_hz / Decim, p.slack);
-        return buildFleetChip(*plan, built, kind);
+    wl.build = [plan, prog](SchedulerKind kind) {
+        return buildFleetChip(*plan, *prog, kind);
     };
     wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
         DdcPipelineParams q = p;
@@ -563,8 +560,6 @@ detail::registerDdcApp(AppRegistry &reg)
         DdcPipelineParams p;
         if (t.scheduler)
             p.scheduler = *t.scheduler;
-        if (t.parallel_team)
-            p.parallel_team = *t.parallel_team;
         if (t.seed)
             p.seed = *t.seed;
         return std::any(p);

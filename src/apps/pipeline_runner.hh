@@ -55,14 +55,6 @@ struct DdcPipelineParams
 
     /** Execution backend. */
     SchedulerKind scheduler = defaultSchedulerKind();
-
-    /**
-     * Column team size for the ParallelColumns backend
-     * (arch::ChipConfig::parallel_columns): 0 = automatic,
-     * 1 = serial, larger = that many team threads. Ignored
-     * by the serial backends.
-     */
-    unsigned parallel_team = 0;
 };
 
 /**

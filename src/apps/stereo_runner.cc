@@ -477,7 +477,6 @@ runMappedStereo(const StereoPipelineParams &p)
     MappedAppParams hp;
     hp.app = "stereo";
     hp.scheduler = p.scheduler;
-    hp.parallel_team = p.parallel_team;
     hp.tick_limit = stereoTickLimit(prog);
     hp.priced_items = StereoBlocks;
     MappedApp app(hp, *plan, prog);
@@ -573,9 +572,10 @@ fleetStereoImpl(const StereoPipelineParams &p)
     auto plan =
         std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
 
-    // The canonical program for the warm-path hooks: the lowering
-    // depends only on the app parameters (its images are replaced
-    // per item), so one program serves every stream and item.
+    // The canonical program, lowered (and verified) once: the
+    // lowering depends only on the app parameters (its images are
+    // replaced per item), so one program serves the template build
+    // and every stream and item.
     auto canon = [&] {
         dsp::Image left(W, H), right(W, H);
         stereoScene(p, left, right);
@@ -588,13 +588,8 @@ fleetStereoImpl(const StereoPipelineParams &p)
     sim::FleetWorkload wl;
     wl.name = "stereo";
     wl.tick_limit = stereoTickLimit(*prog);
-    wl.build = [p, plan](SchedulerKind kind) {
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(p, left, right);
-        auto built = mapping::lowerDag(stereoDag(p, left, right),
-                                       *plan, p.frame_rate_hz,
-                                       p.slack);
-        return buildFleetChip(*plan, built, kind);
+    wl.build = [plan, prog](SchedulerKind kind) {
+        return buildFleetChip(*plan, *prog, kind);
     };
     wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
         StereoPipelineParams q = p;
@@ -639,8 +634,6 @@ detail::registerStereoApp(AppRegistry &reg)
         StereoPipelineParams p;
         if (t.scheduler)
             p.scheduler = *t.scheduler;
-        if (t.parallel_team)
-            p.parallel_team = *t.parallel_team;
         if (t.seed)
             p.seed = *t.seed;
         return std::any(p);

@@ -578,7 +578,6 @@ runMappedWifi(const WifiPipelineParams &p)
     MappedAppParams hp;
     hp.app = "wifi";
     hp.scheduler = p.scheduler;
-    hp.parallel_team = p.parallel_team;
     hp.tick_limit = wifiTickLimit(p, prog);
     hp.priced_items = uint64_t(p.symbols) * WifiFrameBits;
     MappedApp app(hp, *plan, prog);
@@ -666,9 +665,10 @@ fleetWifiImpl(const WifiPipelineParams &p)
     auto plan =
         std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
 
-    // The canonical program for the warm-path hooks: the lowering
-    // depends only on the app parameters (its images are replaced
-    // per item), so one program serves every stream and item.
+    // The canonical program, lowered (and verified) once: the
+    // lowering depends only on the app parameters (its images are
+    // replaced per item), so one program serves the template build
+    // and every stream and item.
     const double rate = p.bit_rate_hz / (2 * WifiFrameBits);
     auto prog = std::make_shared<mapping::PipelineProgram>(
         mapping::lowerDag(wifiDag(p, wifiCarriers(p, wifiPayload(p))),
@@ -677,11 +677,8 @@ fleetWifiImpl(const WifiPipelineParams &p)
     sim::FleetWorkload wl;
     wl.name = "wifi";
     wl.tick_limit = wifiTickLimit(p, *prog);
-    wl.build = [p, plan, rate](SchedulerKind kind) {
-        auto built = mapping::lowerDag(
-            wifiDag(p, wifiCarriers(p, wifiPayload(p))), *plan, rate,
-            p.slack);
-        return buildFleetChip(*plan, built, kind);
+    wl.build = [plan, prog](SchedulerKind kind) {
+        return buildFleetChip(*plan, *prog, kind);
     };
     wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
         WifiPipelineParams q = p;
@@ -723,8 +720,6 @@ detail::registerWifiApp(AppRegistry &reg)
         WifiPipelineParams p;
         if (t.scheduler)
             p.scheduler = *t.scheduler;
-        if (t.parallel_team)
-            p.parallel_team = *t.parallel_team;
         if (t.seed)
             p.seed = *t.seed;
         return std::any(p);

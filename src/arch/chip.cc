@@ -7,7 +7,7 @@ namespace synchro::arch
 
 Chip::Chip(const ChipConfig &cfg)
     : cfg_(cfg),
-      sched_(makeScheduler(cfg.scheduler, cfg.parallel_columns)),
+      sched_(makeScheduler(cfg.scheduler)),
       fabric_(unsigned(cfg.dividers.size()), cfg.strict,
               cfg.self_timed_bus)
 {
@@ -57,28 +57,6 @@ Chip::refPhase()
         col->dou().step();
 }
 
-bool
-Chip::refPhaseInert()
-const
-{
-    // A reference phase moves nothing iff no DOU can drive or capture
-    // now or on any future tick reached without a state change —
-    // i.e. every DOU sits in an inert self-loop. The fabric itself is
-    // stateless between cycles.
-    for (const auto &col : columns_) {
-        if (!col->dou().inertSelfLoop())
-            return false;
-    }
-    return true;
-}
-
-void
-Chip::skipRefPhases(Tick n)
-{
-    for (auto &col : columns_)
-        col->dou().skipSteps(n);
-}
-
 Tick
 Chip::domainEdgeBlock(unsigned d, Tick max_slots)
 {
@@ -121,27 +99,6 @@ Chip::domainStallBlock(unsigned d, Tick max_slots)
     return columns_[d]->stallBlock(max_slots);
 }
 
-bool
-Chip::domainsIndependent() const
-{
-    // Issue slots touch only the column's own tiles and comm
-    // buffers; the bus fabric — the one piece of cross-column state
-    // — moves nothing inside a window proven by commQuiet(). So
-    // between delivery slots, columns are free-running islands.
-    return true;
-}
-
-void
-Chip::domainRefAdvance(unsigned d, Tick n)
-{
-    // Column d's share of n comm-free reference phases: the fabric
-    // contributes nothing (all buffer controls are zero for the
-    // whole window), leaving only this column's DOU walk. The
-    // scheduler's commQuiet() probe already proved the walk stays
-    // comm-free for >= n cycles.
-    columns_[d]->dou().fastForwardCommFree(n);
-}
-
 void
 Chip::setSchedulerKind(SchedulerKind kind)
 {
@@ -152,7 +109,7 @@ Chip::setSchedulerKind(SchedulerKind kind)
               "chip has already run",
               (unsigned long long)sched_->curTick());
     cfg_.scheduler = kind;
-    sched_ = makeScheduler(kind, cfg_.parallel_columns);
+    sched_ = makeScheduler(kind);
 }
 
 std::unique_ptr<Chip>
@@ -180,7 +137,7 @@ void
 Chip::restart()
 {
     resetColumns();
-    sched_ = makeScheduler(cfg_.scheduler, cfg_.parallel_columns);
+    sched_ = makeScheduler(cfg_.scheduler);
 }
 
 bool

@@ -13,10 +13,12 @@
  * one bus cycle, plus the capture alignment the DOU schedules.
  *
  * The tick loop itself is delegated to a pluggable Scheduler
- * (sim/scheduler.hh). The default FastEdge backend exploits the
+ * (sim/scheduler.hh). The default Compiled backend exploits the
  * statically-known edge pattern of the rationally-related column
- * clocks to jump from edge to edge; the EventQueue backend keeps the
- * original gem5-style event loop for bit-identical cross-checking.
+ * clocks and the static bus schedule to run each column through the
+ * comm-quiet window between delivery slots; the EventQueue backend
+ * keeps the original gem5-style event loop for bit-identical
+ * cross-checking.
  */
 
 #ifndef SYNC_ARCH_CHIP_HH
@@ -64,17 +66,6 @@ struct ChipConfig
 
     /** Execution backend driving the tick loop. */
     SchedulerKind scheduler = defaultSchedulerKind();
-
-    /**
-     * Column team size for SchedulerKind::ParallelColumns: 0 sizes
-     * the team automatically (hardware concurrency clamped to the
-     * column count, degrading to serial on a SimSession/fleet pool
-     * worker — see inWorkerPool()), 1 forces serial execution, and
-     * larger values request that many team threads (clamped to the
-     * column count; explicit sizes nest inside pools deliberately).
-     * Ignored by the other backends.
-     */
-    unsigned parallel_columns = 0;
 };
 
 /** Why Chip::run() returned. */
@@ -121,8 +112,8 @@ class Chip : private SchedModel
     /**
      * Swap the scheduler backend of a not-yet-run chip — lets a
      * session or explorer override the kind baked into the config at
-     * construction (e.g. to mix compiled and FastEdge chips in one
-     * pool). fatal() once the chip has advanced past tick 0, since
+     * construction (e.g. to mix compiled and event-queue chips in
+     * one pool). fatal() once the chip has advanced past tick 0, since
      * the backends' pending-work state is not transferable.
      */
     void setSchedulerKind(SchedulerKind kind);
@@ -200,14 +191,10 @@ class Chip : private SchedModel
     bool domainHalted(unsigned d) const override;
     void domainEdge(unsigned d) override;
     void refPhase() override;
-    bool refPhaseInert() const override;
-    void skipRefPhases(Tick n) override;
     Tick domainEdgeBlock(unsigned d, Tick max_slots) override;
     Tick commFreeAdvance(Tick max) override;
     Tick commQuiet(Tick max) const override;
     Tick domainStallBlock(unsigned d, Tick max_slots) override;
-    bool domainsIndependent() const override;
-    void domainRefAdvance(unsigned d, Tick n) override;
     /// @}
 
     ChipConfig cfg_;

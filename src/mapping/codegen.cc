@@ -235,7 +235,7 @@ lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
     out.lanes = slots.lane;
     out.self_timed = true;
 
-    // Lookahead horizon for the parallel-columns runtime: the
+    // Lookahead horizon for the Compiled window walk: the
     // shortest run of delivery-free bus cycles between consecutive
     // active slots on the period grid, circular over one period.
     // Every edge's slots count — the columns free-run only while the

@@ -149,8 +149,8 @@ struct PipelineProgram
     std::vector<unsigned> lanes; //!< bus lane per DAG edge
 
     /**
-     * Static floor of the comm-quiet window the parallel-columns
-     * runtime may trust: the shortest run of delivery-free bus
+     * Static floor of the comm-quiet window the Compiled backend's
+     * window walk may trust: the shortest run of delivery-free bus
      * cycles between consecutive active slots of the period grid
      * (circular over one period), computed from the same
      * allocateEdgeSlots() schedule the DOU programs encode. The

@@ -144,9 +144,9 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     res.app = app.name;
     res.baseline_index = 0;
 
-    // Lower every candidate and stage one FastEdge chip per
-    // successful lowering on a single heterogeneous session — each
-    // chip its own configuration, program and tick budget.
+    // Lower every candidate and stage one chip (on opt.scheduler)
+    // per successful lowering on a single heterogeneous session —
+    // each chip its own configuration, program and tick budget.
     struct Prep
     {
         size_t point = 0;

@@ -791,7 +791,7 @@ checkSlots(Analysis &a, VerifyReport &rep)
         }
     }
 
-    // Lookahead horizon: the parallel-columns runtime lets columns
+    // Lookahead horizon: the Compiled window walk lets columns
     // free-run between delivery slots, and the program declares the
     // static floor of that window. Recompute the floor from the slot
     // schedules themselves — the shortest run of delivery-free bus
@@ -822,15 +822,14 @@ checkSlots(Analysis &a, VerifyReport &rep)
                     strprintf("program declares no lookahead "
                               "horizon (schedule floor: %u quiet "
                               "cycles between delivery slots); the "
-                              "parallel-columns runtime relies on "
-                              "its dynamic probe alone",
+                              "window walk relies on its dynamic "
+                              "probe alone",
                               computed));
         } else if (prog.lookahead_horizon != computed) {
             err(strprintf("declared lookahead horizon %u disagrees "
                           "with the slot schedule (floor: %u quiet "
                           "cycles between delivery slots); the "
-                          "parallel-columns runtime must not trust "
-                          "it",
+                          "window walk must not trust it",
                           prog.lookahead_horizon, computed));
         }
     }

@@ -629,7 +629,12 @@ governedFleetWorkload(const DvfsAppHooks &app,
     wl.feed = [state, inner_feed](arch::Chip &chip, uint64_t item) {
         std::lock_guard<std::mutex> lk(state->mu);
         GovernedFleetState::PerChip &pc = state->chips[&chip];
-        if (!pc.started || item != pc.expected_next) {
+        // A chip that has never run is a new stream's fresh clone,
+        // even when the allocator hands it a finished stream's
+        // address and its first item happens to continue that
+        // stream's item range.
+        const bool fresh_clone = chip.curTick() == 0;
+        if (!pc.started || item != pc.expected_next || fresh_clone) {
             // A fresh stream (or a reused chip pointer): reset the
             // per-stream controller. Decisions depend only on the
             // stream's own history, so any worker count serves the

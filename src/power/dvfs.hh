@@ -398,7 +398,7 @@ struct GovernedFleetState
     };
 
     /** Keyed by serving chip; reset when a chip starts a new
-     *  stream (item != expected_next). */
+     *  stream (a never-run clone, or item != expected_next). */
     std::map<const arch::Chip *, PerChip> chips;
 
     /** decide() outcome per served work item (determinism probe). */

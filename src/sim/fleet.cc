@@ -183,11 +183,6 @@ FleetExecutor::takeStream(unsigned w, bool &stolen)
 void
 FleetExecutor::workerLoop(unsigned w)
 {
-    // Nested-parallelism policy: fleet workers are pool threads, so
-    // ParallelColumns chips with an automatic team size degrade to
-    // serial here; only an explicit ChipConfig::parallel_columns
-    // request nests a column team inside the fleet pool.
-    WorkerPoolScope in_pool;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
         if (stop_)

@@ -86,11 +86,10 @@ struct FleetWorkload
     Tick tick_limit = 0;
 
     /**
-     * The COLD path: plan-derived chip construction end to end —
-     * lower (through the verifier gate), build the chip, load the
-     * program. Runs once per workload to build the template; the
-     * benches also time it against Chip::clone() for the
-     * warm-start-speedup headline.
+     * The COLD path: plan-derived chip construction — build the
+     * chip and load the workload's program (lowered through the
+     * verifier gate once, when the workload was made). Runs once per
+     * workload to build the template every stream clones.
      */
     std::function<std::unique_ptr<arch::Chip>(SchedulerKind)> build;
 

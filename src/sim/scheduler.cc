@@ -1,12 +1,7 @@
 #include "sim/scheduler.hh"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/log.hh"
@@ -21,12 +16,8 @@ schedulerName(SchedulerKind kind)
     switch (kind) {
       case SchedulerKind::EventQueue:
         return "eventq";
-      case SchedulerKind::FastEdge:
-        return "fastedge";
       case SchedulerKind::Compiled:
         return "compiled";
-      case SchedulerKind::ParallelColumns:
-        return "parallel";
     }
     return "unknown";
 }
@@ -36,12 +27,8 @@ parseSchedulerKind(const std::string &name, SchedulerKind &out)
 {
     if (name == "eventq") {
         out = SchedulerKind::EventQueue;
-    } else if (name == "fastedge") {
-        out = SchedulerKind::FastEdge;
     } else if (name == "compiled") {
         out = SchedulerKind::Compiled;
-    } else if (name == "parallel") {
-        out = SchedulerKind::ParallelColumns;
     } else {
         return false;
     }
@@ -57,11 +44,11 @@ defaultKindSlot()
     static SchedulerKind kind = [] {
         const char *env = std::getenv("SYNCHRO_SCHEDULER");
         if (!env || !*env)
-            return SchedulerKind::FastEdge;
+            return SchedulerKind::Compiled;
         SchedulerKind k;
         if (!parseSchedulerKind(env, k))
             fatal("SYNCHRO_SCHEDULER=%s is not a backend "
-                  "(eventq | fastedge | compiled | parallel)",
+                  "(eventq | compiled)",
                   env);
         return k;
     }();
@@ -92,8 +79,7 @@ backendFromArgs(int &argc, char **argv, SchedulerKind fallback)
         std::string name;
         if (arg == "--backend") {
             if (i + 1 >= argc)
-                fatal("--backend needs a value "
-                      "(eventq | fastedge | compiled | parallel)");
+                fatal("--backend needs a value (eventq | compiled)");
             name = argv[++i];
         } else if (arg.rfind("--backend=", 0) == 0) {
             name = arg.substr(10);
@@ -102,41 +88,12 @@ backendFromArgs(int &argc, char **argv, SchedulerKind fallback)
             continue;
         }
         if (!parseSchedulerKind(name, kind))
-            fatal("--backend %s is not a backend "
-                  "(eventq | fastedge | compiled | parallel)",
+            fatal("--backend %s is not a backend (eventq | compiled)",
                   name.c_str());
     }
     argv[w] = nullptr;
     argc = w;
     return kind;
-}
-
-namespace
-{
-
-// Nested-parallelism policy flag: set while the current thread is a
-// SimSession / FleetExecutor pool worker, so the automatic
-// ParallelColumns team size degrades to serial instead of spawning
-// pool × team threads. thread_local, so concurrent pools and teams
-// never observe each other.
-thread_local bool tls_in_worker_pool = false;
-
-} // namespace
-
-bool
-inWorkerPool()
-{
-    return tls_in_worker_pool;
-}
-
-WorkerPoolScope::WorkerPoolScope() : prev_(tls_in_worker_pool)
-{
-    tls_in_worker_pool = true;
-}
-
-WorkerPoolScope::~WorkerPoolScope()
-{
-    tls_in_worker_pool = prev_;
 }
 
 namespace
@@ -225,16 +182,32 @@ class EventQueueScheduler : public Scheduler
 };
 
 /**
- * Edge-skipping fast path. Instead of a heap of events it keeps one
- * pending tick per domain plus one for the reference phase — the
- * whole "queue" is a handful of integers recomputed with the static
- * (divider, phase) arithmetic of ClockDomain. Between domain edges it
- * either executes reference phases directly or, when the model says
- * they are inert, fast-forwards them in one skipRefPhases() call.
+ * The compiled backend: a serial walk of comm-quiet windows. Instead
+ * of a heap of events it keeps one pending tick per domain plus one
+ * for the reference phase — the whole "queue" is a handful of
+ * integers recomputed with the static (divider, phase) arithmetic of
+ * ClockDomain. MaxTick marks "not pending", mirroring an unscheduled
+ * event.
  *
- * MaxTick marks "not pending", mirroring an unscheduled event.
+ * Columns interact only through the statically-scheduled bus, and
+ * delivery is self-timed, so the one point at which they must agree
+ * on time is a reference phase that may move data. Each round runs
+ * one tick slot-exact — every domain edge of the tick, then the
+ * reference phase: the event queue's ClockEdgePri-before-BusPri
+ * order — and probes commQuiet() for the window that follows. Inside
+ * a proven window every domain's work touches only that domain's
+ * state, so each domain is walked through the whole window on its
+ * own (walkDomain), and the window's reference phases are then
+ * credited in one commFreeAdvance() call.
+ *
+ * Halt accounting matches the event queue (refPhase runs through the
+ * tick on which allHalted() becomes true, inclusive): the walk
+ * records the latest in-window halting slot, and when the whole
+ * model halted inside the window the reference phases stop there.
+ * Windows are clamped to the tick budget, so run(1) in a loop
+ * matches one big run() bit-for-bit.
  */
-class FastEdgeScheduler : public Scheduler
+class CompiledScheduler : public Scheduler
 {
   public:
     SchedStop
@@ -270,405 +243,10 @@ class FastEdgeScheduler : public Scheduler
             if (t > limit)
                 return SchedStop::TickLimit;
 
-            // All domain edges of this tick, then the reference phase
-            // — the ClockEdgePri-before-BusPri ordering of the event
-            // queue. Domains are mutually independent within the edge
-            // phase, so index order is as good as event-seq order.
-            for (unsigned d = 0; d < n; ++d) {
-                if (domain_next_[d] != t)
-                    continue;
-                model.domainEdge(d);
-                domain_next_[d] =
-                    model.domainHalted(d)
-                        ? MaxTick
-                        : t + model.domainClock(d).divider();
-            }
-            bool halted;
-            if (ref_next_ == t) {
-                model.refPhase();
-                halted = model.allHalted();
-                ref_next_ = halted ? MaxTick : t + 1;
-            } else {
-                halted = model.allHalted();
-            }
-            cur_ = t;
-
-            if (halted)
-                return SchedStop::AllHalted;
-
-            // Edge skipping: if no domain has an edge before the next
-            // interesting tick and the reference phases in between are
-            // inert, fast-forward them in one O(1) call.
-            if (ref_next_ == t + 1) {
-                Tick next_edge = MaxTick;
-                for (Tick dn : domain_next_)
-                    next_edge = std::min(next_edge, dn);
-                Tick target = std::min(next_edge, limit);
-                if (target > t + 1 && model.refPhaseInert()) {
-                    model.skipRefPhases(target - (t + 1));
-                    ref_next_ = target;
-                    cur_ = target - 1;
-                }
-            }
-        }
-    }
-
-    Tick curTick() const override { return cur_; }
-
-    SchedulerKind kind() const override
-    {
-        return SchedulerKind::FastEdge;
-    }
-
-  private:
-    Tick cur_ = 0;
-    Tick ref_next_ = MaxTick;           //!< MaxTick = not pending
-    std::vector<Tick> domain_next_;     //!< per-domain pending edge
-};
-
-/**
- * The compiled backend: FastEdge's integer edge walk, plus the two
- * SchedModel batch hooks.
- *
- *  - At a domain edge, domainEdgeBlock() may consume many issue
- *    slots at once (slot i standing for the edge at t + i * divider).
- *    The blocks contain only work that commutes with everything else
- *    in the window — for the chip, compute ops on tile-private state
- *    — so executing them ahead of the interleaved reference phases
- *    is bit-identical to slot-at-a-time execution. The domain's next
- *    pending edge simply advances by (slots * divider).
- *
- *  - Between edges, commFreeAdvance() fast-forwards reference phases
- *    that provably move no data (every DOU sits in all-zero buffer
- *    states), walking through state transitions where FastEdge's
- *    inert-self-loop test would give up. Phases that may move data
- *    run one at a time via refPhase(), exactly in order.
- *
- * Both hooks cap at the tick budget, so run(1) in a loop still
- * matches one big run() bit-for-bit.
- */
-class CompiledScheduler : public Scheduler
-{
-  public:
-    SchedStop
-    run(SchedModel &model, Tick max_ticks) override
-    {
-        const unsigned n = model.numDomains();
-        if (domain_next_.empty())
-            domain_next_.assign(n, MaxTick);
-        sync_assert(domain_next_.size() == n,
-                    "model domain count changed between runs");
-
-        for (unsigned d = 0; d < n; ++d) {
-            if (model.domainHalted(d) || domain_next_[d] != MaxTick)
-                continue;
-            const ClockDomain &clk = model.domainClock(d);
-            domain_next_[d] = clk.onEdge(cur_)
-                                  ? cur_
-                                  : clk.nextEdgeAfter(cur_);
-        }
-        if (ref_next_ == MaxTick)
-            ref_next_ = cur_;
-
-        const Tick limit = cur_ + max_ticks;
-
-        while (true) {
-            Tick t = ref_next_;
-            for (Tick dn : domain_next_)
-                t = std::min(t, dn);
-            if (t == MaxTick)
-                return model.allHalted() ? SchedStop::AllHalted
-                                         : SchedStop::Idle;
-            if (t > limit)
-                return SchedStop::TickLimit;
-
-            bool quiet_known = false;
-            Tick quiet = 0;
-            for (unsigned d = 0; d < n; ++d) {
-                if (domain_next_[d] != t)
-                    continue;
-                const Tick div = model.domainClock(d).divider();
-                // Slots at t, t+div, ... while the tick stays in
-                // budget — so stepped runs consume identical slots.
-                const Tick max_slots = (limit - t) / div + 1;
-                Tick k = model.domainEdgeBlock(d, max_slots);
-                if (k == 0 && max_slots > 1) {
-                    // A domain stalled on a comm hazard stays
-                    // stalled for every edge inside the upcoming
-                    // bus-quiet window: the edge at t + j*div only
-                    // needs phases [t, t + j*div) quiet. Probe the
-                    // window once per round, on demand.
-                    if (!quiet_known) {
-                        quiet = model.commQuiet(limit - t + 1);
-                        quiet_known = true;
-                    }
-                    const Tick sl =
-                        std::min(max_slots, quiet / div + 1);
-                    if (sl > 1)
-                        k = model.domainStallBlock(d, sl);
-                }
-                if (k == 0) {
-                    model.domainEdge(d);
-                    k = 1;
-                }
-                domain_next_[d] = model.domainHalted(d)
-                                      ? MaxTick
-                                      : t + k * div;
-            }
-            bool halted;
-            if (ref_next_ == t) {
-                model.refPhase();
-                halted = model.allHalted();
-                ref_next_ = halted ? MaxTick : t + 1;
-            } else {
-                halted = model.allHalted();
-            }
-            cur_ = t;
-
-            if (halted)
-                return SchedStop::AllHalted;
-
-            // Batch the reference phases up to the next domain edge:
-            // comm-free stretches fast-forward wholesale, phases that
-            // may move data run individually and in order.
-            if (ref_next_ == t + 1) {
-                Tick next_edge = MaxTick;
-                for (Tick dn : domain_next_)
-                    next_edge = std::min(next_edge, dn);
-                const Tick target = std::min(next_edge, limit + 1);
-                while (ref_next_ < target) {
-                    const Tick want = target - ref_next_;
-                    Tick k = model.commFreeAdvance(want);
-                    if (k > 0) {
-                        ref_next_ += k;
-                        cur_ = ref_next_ - 1;
-                    }
-                    if (k == want)
-                        break;
-                    model.refPhase();
-                    cur_ = ref_next_;
-                    if (model.allHalted())
-                        return SchedStop::AllHalted;
-                    ref_next_ = cur_ + 1;
-                }
-            }
-        }
-    }
-
-    Tick curTick() const override { return cur_; }
-
-    SchedulerKind kind() const override
-    {
-        return SchedulerKind::Compiled;
-    }
-
-  private:
-    Tick cur_ = 0;
-    Tick ref_next_ = MaxTick;           //!< MaxTick = not pending
-    std::vector<Tick> domain_next_;     //!< per-domain pending edge
-};
-
-/**
- * Persistent thread team with an epoch barrier — the rendezvous
- * primitive of the parallel-columns backend. The caller is member 0;
- * members 1..N-1 are worker threads that live as long as the team.
- * run(job) releases every member into job(member) and returns only
- * after all members have finished (the epoch barrier), so everything
- * the members wrote happens-before the caller's next read. The first
- * exception any member throws is captured and rethrown on the caller
- * *after* the rendezvous completes — a throwing member can never
- * leave the barrier half-assembled (the lesson of the fleet drain
- * deadlock fix).
- */
-class ColumnTeam
-{
-  public:
-    explicit ColumnTeam(unsigned members) : members_(members)
-    {
-        sync_assert(members_ >= 2, "a column team needs >= 2 members");
-        threads_.reserve(members_ - 1);
-        for (unsigned m = 1; m < members_; ++m)
-            threads_.emplace_back([this, m] { workerLoop(m); });
-    }
-
-    ~ColumnTeam()
-    {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = true;
-            ++epoch_;
-        }
-        cv_start_.notify_all();
-        for (auto &t : threads_)
-            t.join();
-    }
-
-    ColumnTeam(const ColumnTeam &) = delete;
-    ColumnTeam &operator=(const ColumnTeam &) = delete;
-
-    unsigned members() const { return members_; }
-
-    void
-    run(const std::function<void(unsigned)> &job)
-    {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            job_ = &job;
-            done_ = 0;
-            err_ = nullptr;
-            ++epoch_;
-        }
-        cv_start_.notify_all();
-        runMember(job, 0);
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_done_.wait(lk, [this] { return done_ == members_ - 1; });
-        job_ = nullptr;
-        if (err_) {
-            std::exception_ptr e = err_;
-            err_ = nullptr;
-            lk.unlock();
-            std::rethrow_exception(e);
-        }
-    }
-
-  private:
-    void
-    runMember(const std::function<void(unsigned)> &job, unsigned m)
-    {
-        try {
-            job(m);
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!err_)
-                err_ = std::current_exception();
-        }
-    }
-
-    void
-    workerLoop(unsigned m)
-    {
-        uint64_t seen = 0;
-        while (true) {
-            const std::function<void(unsigned)> *job = nullptr;
-            {
-                std::unique_lock<std::mutex> lk(mu_);
-                cv_start_.wait(
-                    lk, [&] { return stop_ || epoch_ != seen; });
-                if (stop_)
-                    return;
-                seen = epoch_;
-                job = job_;
-            }
-            runMember(*job, m);
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++done_;
-                if (done_ == members_ - 1)
-                    cv_done_.notify_one();
-            }
-        }
-    }
-
-    const unsigned members_;
-    std::mutex mu_;
-    std::condition_variable cv_start_;
-    std::condition_variable cv_done_;
-    uint64_t epoch_ = 0;
-    unsigned done_ = 0;
-    bool stop_ = false;
-    const std::function<void(unsigned)> *job_ = nullptr;
-    std::exception_ptr err_;
-    std::vector<std::thread> threads_;
-};
-
-/**
- * The parallel-columns backend: FastEdge's integer edge walk at every
- * bus-active tick, with the comm-quiet stretches in between executed
- * by a per-chip column team.
- *
- * The synchronization argument is the paper's: columns interact only
- * through the statically-scheduled bus, and delivery is self-timed,
- * so the single rendezvous a column needs is the next reference phase
- * that may move data. The scheduler probes that horizon with
- * commQuiet() — the same conservative lookahead the Compiled backend
- * batches phases with, derived from the per-edge slot schedules of
- * allocateEdgeSlots — and inside the proven window every domain's
- * work (issue slots via domainEdgeBlock/domainStallBlock/domainEdge,
- * its reference-phase share via domainRefAdvance) touches only
- * domain-private state (domainsIndependent()). Columns therefore
- * free-run through the window on team threads and rendezvous at the
- * epoch barrier before the next delivery slot runs serially.
- *
- * Bit-exactness for any team size is by construction: each domain's
- * in-window slot decomposition depends only on that domain's own
- * pending edge and the window end — never on the member running it —
- * and every hook credits state and statistics exactly as
- * slot-at-a-time execution would. The active ticks themselves run
- * serially in FastEdge's exact order.
- *
- * Halt accounting matches the serial contract (refPhase runs through
- * the tick on which allHalted() becomes true, inclusive): members
- * record each domain's halting slot tick, and after the rendezvous
- * the leader fast-forwards every domain's reference-phase share to
- * max(halt ticks) when the whole model halted inside the window, or
- * to the window end otherwise.
- */
-class ParallelColumnsScheduler : public Scheduler
-{
-  public:
-    explicit ParallelColumnsScheduler(unsigned team_threads)
-        : requested_(team_threads)
-    {}
-
-    SchedStop
-    run(SchedModel &model, Tick max_ticks) override
-    {
-        const unsigned n = model.numDomains();
-        if (domain_next_.empty())
-            domain_next_.assign(n, MaxTick);
-        sync_assert(domain_next_.size() == n,
-                    "model domain count changed between runs");
-
-        for (unsigned d = 0; d < n; ++d) {
-            if (model.domainHalted(d) || domain_next_[d] != MaxTick)
-                continue;
-            const ClockDomain &clk = model.domainClock(d);
-            domain_next_[d] = clk.onEdge(cur_)
-                                  ? cur_
-                                  : clk.nextEdgeAfter(cur_);
-        }
-        if (ref_next_ == MaxTick)
-            ref_next_ = cur_;
-
-        const Tick limit = cur_ + max_ticks;
-        const unsigned team =
-            teamSize(n, model.domainsIndependent());
-        if (team > 1 && (!team_ || team_->members() != team))
-            team_ = std::make_unique<ColumnTeam>(team);
-
-        // One closure reused for every window of this run; win_end
-        // is rebound per window. Domains are dealt round-robin — the
-        // per-domain walk is member-independent, so the deal only
-        // balances load, never changes results.
-        Tick win_end = 0;
-        const std::function<void(unsigned)> walk =
-            [&](unsigned member) {
-                for (unsigned d = member; d < n; d += team)
-                    walkDomain(model, d, win_end);
-            };
-
-        while (true) {
-            Tick t = ref_next_;
-            for (Tick dn : domain_next_)
-                t = std::min(t, dn);
-            if (t == MaxTick)
-                return model.allHalted() ? SchedStop::AllHalted
-                                         : SchedStop::Idle;
-            if (t > limit)
-                return SchedStop::TickLimit;
-
-            // The bus-active tick runs serially, exactly as
-            // FastEdge: all domain edges, then the reference phase.
+            // One slot-exact tick: all domain edges, then the
+            // reference phase. Domains are mutually independent
+            // within the edge phase, so index order is as good as
+            // event-seq order.
             for (unsigned d = 0; d < n; ++d) {
                 if (domain_next_[d] != t)
                     continue;
@@ -698,38 +276,23 @@ class ParallelColumnsScheduler : public Scheduler
             const Tick quiet = model.commQuiet(limit - t);
             if (quiet == 0)
                 continue;
-            win_end = t + quiet;
+            const Tick win_end = t + quiet;
+            Tick halt_at = 0;
+            for (unsigned d = 0; d < n; ++d)
+                walkDomain(model, d, win_end, halt_at);
 
-            halt_tick_.assign(n, MaxTick);
-            bool any_edges = false;
-            for (Tick dn : domain_next_)
-                any_edges = any_edges || dn <= win_end;
-            if (any_edges) {
-                if (team > 1 && quiet >= kMinTeamWindow) {
-                    team_->run(walk);
-                } else {
-                    for (unsigned d = 0; d < n; ++d)
-                        walkDomain(model, d, win_end);
-                }
-            }
-
-            // Leader-side halt resolution + the reference-phase
-            // share of the window: through the halting tick
-            // inclusive when everything halted in-window, through
-            // the window end otherwise.
+            // The window's reference phases: through the halting
+            // tick inclusive when everything halted in-window,
+            // through the window end otherwise.
             const bool all_halted = model.allHalted();
-            Tick steps_end = win_end;
-            if (all_halted) {
-                Tick h = 0;
-                for (unsigned d = 0; d < n; ++d) {
-                    if (halt_tick_[d] != MaxTick)
-                        h = std::max(h, halt_tick_[d]);
-                }
-                steps_end = h;
-            }
+            const Tick steps_end = all_halted ? halt_at : win_end;
             if (steps_end > t) {
-                for (unsigned d = 0; d < n; ++d)
-                    model.domainRefAdvance(d, steps_end - t);
+                const Tick k = model.commFreeAdvance(steps_end - t);
+                sync_assert(k == steps_end - t,
+                            "commFreeAdvance took %llu of %llu phases "
+                            "commQuiet proved",
+                            (unsigned long long)k,
+                            (unsigned long long)(steps_end - t));
             }
             cur_ = steps_end;
             if (all_halted) {
@@ -744,27 +307,21 @@ class ParallelColumnsScheduler : public Scheduler
 
     SchedulerKind kind() const override
     {
-        return SchedulerKind::ParallelColumns;
+        return SchedulerKind::Compiled;
     }
 
   private:
-    // Below this window width the barrier costs more than the walk;
-    // the leader runs the window inline (identical decomposition,
-    // identical results — only the thread changes).
-    static constexpr Tick kMinTeamWindow = 16;
-
     /**
      * Walk domain @p d's issue slots through the window (ticks up to
      * and including @p t_end, all inside the proven comm-quiet
-     * horizon and the tick budget). Called concurrently for
-     * different domains; touches only domain_next_[d], halt_tick_[d]
-     * and domain-d model state.
+     * horizon and the tick budget). If the domain halts, raise
+     * @p halt_at to its halting slot's tick.
      */
     void
-    walkDomain(SchedModel &model, unsigned d, Tick t_end)
+    walkDomain(SchedModel &model, unsigned d, Tick t_end, Tick &halt_at)
     {
         Tick next = domain_next_[d];
-        if (next == MaxTick || next > t_end)
+        if (next > t_end)
             return;
         const Tick div = model.domainClock(d).divider();
         while (next <= t_end) {
@@ -781,7 +338,7 @@ class ParallelColumnsScheduler : public Scheduler
                 k = 1;
             }
             if (model.domainHalted(d)) {
-                halt_tick_[d] = next + (k - 1) * div;
+                halt_at = std::max(halt_at, next + (k - 1) * div);
                 next = MaxTick;
                 break;
             }
@@ -790,51 +347,21 @@ class ParallelColumnsScheduler : public Scheduler
         domain_next_[d] = next;
     }
 
-    /**
-     * Resolve the team size for this run: serial unless the model
-     * grants domain independence; an explicit request is honored
-     * (clamped to the domain count — nested pools are deliberate);
-     * automatic sizing uses the hardware, but degrades to serial on
-     * a simulation pool worker thread so fleets of parallel chips do
-     * not oversubscribe the machine.
-     */
-    unsigned
-    teamSize(unsigned n, bool independent) const
-    {
-        if (!independent || n <= 1 || requested_ == 1)
-            return 1;
-        unsigned want = requested_;
-        if (want == 0) {
-            if (inWorkerPool())
-                return 1;
-            want = std::max(std::thread::hardware_concurrency(), 2u);
-        }
-        return std::min(want, n);
-    }
-
-    const unsigned requested_;          //!< team size knob (0 = auto)
-    std::unique_ptr<ColumnTeam> team_;
     Tick cur_ = 0;
     Tick ref_next_ = MaxTick;           //!< MaxTick = not pending
     std::vector<Tick> domain_next_;     //!< per-domain pending edge
-    std::vector<Tick> halt_tick_;       //!< in-window halting slots
 };
 
 } // namespace
 
 std::unique_ptr<Scheduler>
-makeScheduler(SchedulerKind kind, unsigned team_threads)
+makeScheduler(SchedulerKind kind)
 {
     switch (kind) {
       case SchedulerKind::EventQueue:
         return std::make_unique<EventQueueScheduler>();
-      case SchedulerKind::FastEdge:
-        return std::make_unique<FastEdgeScheduler>();
       case SchedulerKind::Compiled:
         return std::make_unique<CompiledScheduler>();
-      case SchedulerKind::ParallelColumns:
-        return std::make_unique<ParallelColumnsScheduler>(
-            team_threads);
     }
     panic("unknown scheduler kind %d", int(kind));
 }

@@ -6,42 +6,27 @@
  * domain's edge pattern statically computable (paper Section 6), so a
  * simulator does not need a dynamic event queue to find the next thing
  * to do. This header splits the "what happens" (SchedModel — the chip)
- * from the "when" (Scheduler) and provides three interchangeable
+ * from the "when" (Scheduler) and provides two interchangeable
  * backends:
  *
  *  - SchedulerKind::EventQueue — the original gem5-style discrete
  *    event queue. One self-rescheduling event per clock domain plus a
  *    reference-clock event every tick. The reference semantics; keep
- *    it around to cross-check the fast paths bit-for-bit.
+ *    it around to cross-check the fast path bit-for-bit.
  *
- *  - SchedulerKind::FastEdge — precomputes each domain's next edge
- *    from its (divider, phase) pair and jumps straight to the next
- *    edge tick. Reference-clock work on edge-free ticks is either
- *    executed directly or, when the model reports it inert (idle DOUs,
- *    nothing on the bus), fast-forwarded in O(1) via skipRefPhases().
+ *  - SchedulerKind::Compiled — a serial walk of comm-quiet windows.
+ *    Bus delivery is self-timed and every statically-scheduled bus
+ *    slot is known, so the only point at which domains interact is
+ *    an *active* reference phase (a bus cycle that may move data).
+ *    The scheduler runs each active tick slot-exact, probes the
+ *    comm-quiet window that follows (commQuiet), walks every domain
+ *    through that window on its own — straight-line compute as one
+ *    pre-analyzed block (domainEdgeBlock), comm stalls in one call
+ *    (domainStallBlock) — and then credits the window's reference
+ *    phases in one call (commFreeAdvance): a column runs until it
+ *    needs the next bus token, with no second thread.
  *
- *  - SchedulerKind::Compiled — FastEdge's edge walk plus two batch
- *    hooks: straight-line runs of a domain's steady-state firing
- *    loops execute as one pre-analyzed block (domainEdgeBlock), and
- *    reference phases between bus slots are fast-forwarded through
- *    DOU state transitions (commFreeAdvance). Any slot with a
- *    branch, halt, lsetup or comm op — and any reference phase that
- *    may move data — still runs slot-exact.
- *
- *  - SchedulerKind::ParallelColumns — intra-chip parallelism via
- *    latency-insensitive sync. Bus delivery is self-timed and every
- *    statically-scheduled bus slot is known, so the only point at
- *    which columns interact is an *active* reference phase (a bus
- *    cycle that may move data). The scheduler probes the comm-quiet
- *    window (commQuiet — the same proof the Compiled backend
- *    batches phases with), lets every column free-run its issue
- *    slots and DOU phases through the window on its own team
- *    thread (column state is private while the fabric is quiet),
- *    and rendezvouses the team at an epoch barrier before each
- *    delivery slot runs serially. Bit-identical to the serial
- *    backends for any team size by construction.
- *
- * All backends drive the model through the same narrow interface and
+ * Both backends drive the model through the same narrow interface and
  * must produce identical architectural state and statistics; the
  * scheduler_test suite enforces this.
  */
@@ -61,28 +46,23 @@ namespace synchro
 /** Selects the scheduler backend driving a model. */
 enum class SchedulerKind
 {
-    EventQueue,      //!< discrete event queue (reference semantics)
-    FastEdge,        //!< static edge-pattern fast path
-    Compiled,        //!< steady-state loops compiled to blocks
-    ParallelColumns, //!< columns threaded between delivery slots
+    EventQueue, //!< discrete event queue (reference semantics)
+    Compiled,   //!< comm-quiet window walk (the fast path)
 };
 
-/**
- * Human-readable backend name
- * ("eventq"/"fastedge"/"compiled"/"parallel").
- */
+/** Human-readable backend name ("eventq"/"compiled"). */
 const char *schedulerName(SchedulerKind kind);
 
 /**
- * Parse a backend name ("eventq" | "fastedge" | "compiled" |
- * "parallel" — the exact strings schedulerName() emits). Returns
- * false and leaves @p out untouched on anything else.
+ * Parse a backend name ("eventq" | "compiled" — the exact strings
+ * schedulerName() emits). Returns false and leaves @p out untouched
+ * on anything else.
  */
 bool parseSchedulerKind(const std::string &name, SchedulerKind &out);
 
 /**
  * The process-wide default backend: $SYNCHRO_SCHEDULER when set to a
- * valid backend name (fatal on an invalid one), FastEdge otherwise.
+ * valid backend name (fatal on an invalid one), Compiled otherwise.
  * ChipConfig and the mapped-app runners initialize from this, so CI
  * can force the whole suite onto one backend with an env var.
  */
@@ -116,10 +96,11 @@ void setDefaultSchedulerKind(SchedulerKind kind);
  *    not halted (edges at phase + k * divider);
  *  - refPhase() runs once per reference tick, after all domain edges
  *    of that tick, from the first tick of run() until the tick on
- *    which allHalted() becomes true (inclusive);
- *  - when refPhaseInert() is true, a refPhase() would move no data and
- *    touch no visible statistics other than what skipRefPhases(n)
- *    reproduces; the fast path uses this to jump over idle ticks.
+ *    which allHalted() becomes true (inclusive).
+ *
+ * The batch hooks let the Compiled backend cover many slots or
+ * phases per call. Their defaults decline, which keeps a model that
+ * does not implement them on the slot-at-a-time path.
  */
 class SchedModel
 {
@@ -137,12 +118,6 @@ class SchedModel
     /** One reference-clock phase (bus resolution + DOU step). */
     virtual void refPhase() = 0;
 
-    /** True if the next refPhase() is guaranteed to move nothing. */
-    virtual bool refPhaseInert() const = 0;
-
-    /** Fast-forward @p n inert reference phases in one call. */
-    virtual void skipRefPhases(Tick n) = 0;
-
     /**
      * Compiled-backend hook: execute up to @p max_slots consecutive
      * issue slots of domain @p d as one pre-analyzed block. Slot i of
@@ -151,8 +126,7 @@ class SchedModel
      * phase and other-domain edge in that window (for the chip:
      * compute ops touching tile-private state, never the comm
      * buffers). Returns the slots consumed; 0 means no block applies
-     * and the caller must issue a single domainEdge(). The default
-     * keeps non-compiled models on the slot-at-a-time path.
+     * and the caller must issue a single domainEdge().
      */
     virtual Tick
     domainEdgeBlock(unsigned d, Tick max_slots)
@@ -167,9 +141,9 @@ class SchedModel
      * that are provably comm-free (no DOU drives or captures in any
      * of them), crediting statistics exactly as max refPhase() calls
      * would. Returns the phases consumed (0 = the next phase may
-     * move data and must run via refPhase()). Unlike refPhaseInert()
-     * / skipRefPhases() this may walk through DOU state transitions,
-     * so it also covers active schedules between their bus slots.
+     * move data and must run via refPhase()). It may walk through
+     * DOU state transitions, so it also covers active schedules
+     * between their bus slots.
      */
     virtual Tick
     commFreeAdvance(Tick max)
@@ -181,10 +155,10 @@ class SchedModel
     /**
      * Compiled-backend hook: how many upcoming reference phases
      * (starting with the next one) are provably comm-free, up to
-     * @p max — a pure probe, nothing advances. The scheduler uses
-     * this to bound how many comm-stall slots of a blocked domain
-     * can be consumed at once: a stalled comm op cannot unblock
-     * before the next bus activity.
+     * @p max — a pure probe, nothing advances. Inside such a window
+     * no refPhase() moves data, so every domain edge touches only
+     * that domain's state and a stalled comm op cannot unblock: the
+     * scheduler walks each domain through the window on its own.
      */
     virtual Tick
     commQuiet(Tick max) const
@@ -206,35 +180,6 @@ class SchedModel
         (void)d;
         (void)max_slots;
         return 0;
-    }
-
-    /**
-     * ParallelColumns hook: true when the model's domains interact
-     * ONLY through refPhase() — domainEdge(d) and domainRefAdvance(d)
-     * touch domain-d-private state exclusively, so inside a window
-     * where every refPhase() is provably a no-op (commQuiet),
-     * different domains may execute concurrently on different
-     * threads. The chip satisfies this: issue slots touch only the
-     * column's own tiles and comm buffers, and the bus fabric — the
-     * one piece of shared state — moves nothing while every DOU is
-     * comm-free. Models that do not make this guarantee keep the
-     * default and the ParallelColumns backend runs them serially.
-     */
-    virtual bool domainsIndependent() const { return false; }
-
-    /**
-     * ParallelColumns hook: advance domain @p d's share of @p n
-     * reference phases inside a comm-quiet window proven by
-     * commQuiet() — for the chip, fast-forward the column's DOU
-     * through n comm-free cycles, crediting statistics exactly as n
-     * refPhase() calls would for that column. Called concurrently
-     * for different domains; must touch only domain-@p d state.
-     */
-    virtual void
-    domainRefAdvance(unsigned d, Tick n)
-    {
-        (void)d;
-        (void)n;
     }
 };
 
@@ -266,43 +211,8 @@ class Scheduler
     const char *name() const { return schedulerName(kind()); }
 };
 
-/**
- * Construct a scheduler backend. @p team_threads only matters for
- * ParallelColumns: 0 picks an automatic team size (hardware
- * concurrency clamped to the domain count, degrading to serial when
- * the calling thread already belongs to a simulation worker pool —
- * see inWorkerPool()), 1 forces serial execution, and larger values
- * request that many team members (clamped to the domain count at
- * run time). Other kinds ignore it.
- */
-std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind,
-                                         unsigned team_threads = 0);
-
-/**
- * Nested-parallelism policy. SimSession and FleetExecutor workers
- * mark themselves with a WorkerPoolScope; the automatic
- * ParallelColumns team size (team_threads == 0) collapses to 1 on a
- * marked thread so a fleet of parallel-columns chips does not
- * oversubscribe the machine with pool × team threads. An explicit
- * team size is always honored (nested pools) — that is how the
- * fleet × parallel-columns composition tests exercise both layers
- * at once.
- */
-bool inWorkerPool();
-
-/** RAII marker: the current thread belongs to a simulation pool. */
-class WorkerPoolScope
-{
-  public:
-    WorkerPoolScope();
-    ~WorkerPoolScope();
-
-    WorkerPoolScope(const WorkerPoolScope &) = delete;
-    WorkerPoolScope &operator=(const WorkerPoolScope &) = delete;
-
-  private:
-    bool prev_;
-};
+/** Construct a scheduler backend. */
+std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind);
 
 } // namespace synchro
 

@@ -128,12 +128,6 @@ SimSession::runAll(Tick max_ticks)
     std::exception_ptr first_error;
 
     auto worker = [&] {
-        // Nested-parallelism policy: pool workers mark themselves so
-        // ParallelColumns chips with an automatic team size run
-        // serially here instead of stacking a column team on top of
-        // the chip pool. (The inline path above runs on the caller's
-        // thread and keeps whatever team the caller is entitled to.)
-        WorkerPoolScope in_pool;
         while (!failed.load(std::memory_order_relaxed)) {
             size_t i = next.fetch_add(1);
             if (i >= chips_.size())

@@ -110,7 +110,7 @@ TEST(Codegen, TwoActorPipelineBitExactOnBothBackends)
     std::vector<int32_t> expect = twoActorReference(firings);
 
     for (auto kind :
-         {SchedulerKind::FastEdge, SchedulerKind::EventQueue}) {
+         {SchedulerKind::Compiled, SchedulerKind::EventQueue}) {
         arch::ChipConfig cfg;
         cfg.dividers = plan.dividers();
         cfg.scheduler = kind;
@@ -284,7 +284,7 @@ TEST(Codegen, ForkJoinDiamondBitExactOnBothBackends)
         expect.push_back(int32_t(5 * n));
 
     for (auto kind :
-         {SchedulerKind::FastEdge, SchedulerKind::EventQueue}) {
+         {SchedulerKind::Compiled, SchedulerKind::EventQueue}) {
         arch::ChipConfig cfg;
         cfg.dividers = plan.dividers();
         cfg.scheduler = kind;

@@ -39,7 +39,7 @@ testParams()
 GovernedRunResult
 runPolicy(const DvfsAppHooks &app, const sim::TrafficScenario &sc,
           DvfsPolicy pol,
-          SchedulerKind backend = SchedulerKind::FastEdge)
+          SchedulerKind backend = SchedulerKind::Compiled)
 {
     GovernedRunOptions opt;
     opt.policy = pol;
@@ -184,7 +184,7 @@ TEST(DvfsGovernor, UnprovenDividerVectorIsRejectedNotApplied)
     SafeTransitionTable table = SafeTransitionTable::build(
         app.artifact, DvfsGovernorConfig{}.rate_scales, levels);
 
-    auto chip = app.workload.build(SchedulerKind::FastEdge);
+    auto chip = app.workload.build(SchedulerKind::Compiled);
     DvfsGovernor gov(table, 1e6);
 
     // Plant a transition with no precomputed proof: the baseline
@@ -242,26 +242,20 @@ TEST(DvfsGovernor, BurstyRunIsDeterministicAcrossBackends)
     DvfsAppHooks app = dvfsDdc(testParams());
     sim::TrafficScenario sc(sim::TrafficSpec::bursty(2004, 2));
 
-    const SchedulerKind backends[] = {
-        SchedulerKind::EventQueue, SchedulerKind::FastEdge,
-        SchedulerKind::Compiled, SchedulerKind::ParallelColumns};
-
-    GovernedRunResult ref =
-        runPolicy(app, sc, DvfsPolicy::Governed, backends[0]);
+    GovernedRunResult ref = runPolicy(app, sc, DvfsPolicy::Governed,
+                                      SchedulerKind::EventQueue);
     ASSERT_TRUE(ref.bit_exact) << ref.first_failure;
     ASSERT_GT(ref.items, 0u);
     for (size_t t : ref.trajectory)
         EXPECT_LT(t, ref.table_points);
 
-    for (size_t b = 1; b < 4; ++b) {
-        GovernedRunResult r =
-            runPolicy(app, sc, DvfsPolicy::Governed, backends[b]);
-        EXPECT_TRUE(r.bit_exact) << r.first_failure;
-        EXPECT_EQ(r.trajectory, ref.trajectory);
-        EXPECT_EQ(r.busy_ticks, ref.busy_ticks);
-        EXPECT_EQ(r.deadline_misses, ref.deadline_misses);
-        EXPECT_EQ(r.outputs, ref.outputs);
-    }
+    GovernedRunResult r = runPolicy(app, sc, DvfsPolicy::Governed,
+                                    SchedulerKind::Compiled);
+    EXPECT_TRUE(r.bit_exact) << r.first_failure;
+    EXPECT_EQ(r.trajectory, ref.trajectory);
+    EXPECT_EQ(r.busy_ticks, ref.busy_ticks);
+    EXPECT_EQ(r.deadline_misses, ref.deadline_misses);
+    EXPECT_EQ(r.outputs, ref.outputs);
 }
 
 TEST(DvfsGovernor, GovernedBeatsStaticAtEqualOutputOnBurstyTraffic)
@@ -395,7 +389,7 @@ TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
 
         sim::FleetConfig fc;
         fc.workers = workers;
-        fc.scheduler = SchedulerKind::FastEdge;
+        fc.scheduler = SchedulerKind::Compiled;
         sim::FleetExecutor fleet(fc);
         unsigned id = fleet.addWorkload(wl);
         // Four streams with disjoint, contiguous item ranges.

@@ -95,24 +95,21 @@ sumWorkload(uint32_t base_seed)
 }
 
 /**
- * A three-column variant of sumWorkload on mixed dividers, with the
- * parallel-columns team size pinned to 2 in the build — so a fleet
- * serving it on the ParallelColumns backend runs nested pools (fleet
- * workers outside, column teams inside). The serial backends ignore
- * the knob, which keeps the same workload usable as the reference.
+ * A three-column variant of sumWorkload on mixed dividers (1/2/3),
+ * so the Compiled backend's per-domain window walk sees columns
+ * whose edges interleave.
  */
 sim::FleetWorkload
-parSumWorkload(uint32_t base_seed)
+mixedSumWorkload(uint32_t base_seed)
 {
     sim::FleetWorkload wl;
-    wl.name = "parsum";
+    wl.name = "mixedsum";
     wl.tick_limit = 100'000;
     wl.build = [](SchedulerKind kind) {
         ChipConfig cfg;
         cfg.dividers = {1, 2, 3};
         cfg.tiles_per_column = 1;
         cfg.scheduler = kind;
-        cfg.parallel_columns = 2;
         auto chip = std::make_unique<Chip>(cfg);
         for (unsigned c = 0; c < 3; ++c) {
             chip->column(c).controller().loadProgram(
@@ -461,7 +458,7 @@ TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
 TEST(Fleet, CloneMatchesFreshBuildOnEveryBackend)
 {
     // Chip::clone of a programmed chip must be indistinguishable
-    // from re-running codegen + program load, on all three
+    // from re-running codegen + program load, on both
     // scheduler backends: same outputs, same final tick, same
     // statistics — both straight from the template images and after
     // a per-item refeed.
@@ -526,12 +523,10 @@ TEST(Fleet, CloneCanRehomeAcrossBackends)
     EXPECT_EQ(wl.read_output(*moved), wl.read_output(*ref));
 }
 
-TEST(Fleet, ParallelColumnsComposeWithFleetPool)
+TEST(Fleet, MixedDividerFleetMatchesEventQueue)
 {
-    // Nested pools: fleet workers outside, per-chip column teams
-    // inside (the workload pins the team to 2, overriding the
-    // degrade-on-pool-workers automatic policy). The composed fleet
-    // must produce exactly what a serial-backend fleet does on the
+    // A Compiled fleet serving mixed-divider chips from two workers
+    // must produce exactly what an event-queue fleet does on the
     // same streams.
     auto serve = [](SchedulerKind kind) {
         sim::FleetConfig fc;
@@ -539,43 +534,43 @@ TEST(Fleet, ParallelColumnsComposeWithFleetPool)
         fc.scheduler = kind;
         fc.keep_outputs = true;
         sim::FleetExecutor fleet(fc);
-        unsigned w = fleet.addWorkload(parSumWorkload(41));
+        unsigned w = fleet.addWorkload(mixedSumWorkload(41));
         for (unsigned s = 0; s < 4; ++s)
             fleet.admitStream(w, 2, 3 * s);
         return fleet.drain();
     };
 
-    sim::FleetReport par = serve(SchedulerKind::ParallelColumns);
-    sim::FleetReport ser = serve(SchedulerKind::FastEdge);
-    EXPECT_TRUE(par.all_verified);
-    EXPECT_TRUE(ser.all_verified);
-    ASSERT_EQ(par.stream_results.size(), ser.stream_results.size());
-    for (size_t i = 0; i < ser.stream_results.size(); ++i) {
-        EXPECT_EQ(par.stream_results[i].outputs,
-                  ser.stream_results[i].outputs)
+    sim::FleetReport co = serve(SchedulerKind::Compiled);
+    sim::FleetReport eq = serve(SchedulerKind::EventQueue);
+    EXPECT_TRUE(co.all_verified);
+    EXPECT_TRUE(eq.all_verified);
+    ASSERT_EQ(co.stream_results.size(), eq.stream_results.size());
+    for (size_t i = 0; i < eq.stream_results.size(); ++i) {
+        EXPECT_EQ(co.stream_results[i].outputs,
+                  eq.stream_results[i].outputs)
             << i;
-        EXPECT_EQ(par.stream_results[i].ticks,
-                  ser.stream_results[i].ticks)
+        EXPECT_EQ(co.stream_results[i].ticks,
+                  eq.stream_results[i].ticks)
             << i;
     }
-    EXPECT_EQ(par.totals.counters, ser.totals.counters);
-    EXPECT_EQ(par.totals.total_ticks, ser.totals.total_ticks);
+    EXPECT_EQ(co.totals.counters, eq.totals.counters);
+    EXPECT_EQ(co.totals.total_ticks, eq.totals.total_ticks);
 }
 
-TEST(Fleet, ParallelCloneRehomesToSerialBitExactly)
+TEST(Fleet, MixedDividerCloneRehomesBitExactly)
 {
-    // A clone of a parallel-columns chip re-homed onto a serial
-    // backend must be bit-identical to a clone that kept the team —
-    // the snapshot carries no backend-specific state.
-    sim::FleetWorkload wl = parSumWorkload(23);
-    auto donor = wl.build(SchedulerKind::ParallelColumns);
-    auto moved = donor->clone(SchedulerKind::FastEdge);
+    // A clone of a Compiled chip re-homed onto the event queue must
+    // be bit-identical to a clone that kept its backend — the
+    // snapshot carries no backend-specific state.
+    sim::FleetWorkload wl = mixedSumWorkload(23);
+    auto donor = wl.build(SchedulerKind::Compiled);
+    auto moved = donor->clone(SchedulerKind::EventQueue);
     EXPECT_EQ(int(moved->schedulerKind()),
-              int(SchedulerKind::FastEdge));
+              int(SchedulerKind::EventQueue));
 
     auto kept = donor->clone();
     EXPECT_EQ(int(kept->schedulerKind()),
-              int(SchedulerKind::ParallelColumns));
+              int(SchedulerKind::Compiled));
     wl.feed(*kept, 1);
     wl.feed(*moved, 1);
     auto rk = kept->run(wl.tick_limit);

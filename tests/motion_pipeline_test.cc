@@ -112,7 +112,7 @@ TEST(MotionPipeline, ShardWidthVariantsStayBitExact)
     // for bit on both backends, like the paper-shaped 2-wide does.
     for (unsigned cols : {1u, 4u}) {
         for (auto kind :
-             {SchedulerKind::FastEdge, SchedulerKind::EventQueue}) {
+             {SchedulerKind::Compiled, SchedulerKind::EventQueue}) {
             MotionPipelineParams p = smallRun(kind);
             p.columns = cols;
             // A single serial column cannot sustain the default
@@ -137,7 +137,7 @@ TEST(MotionPipeline, ShardWidthVariantsStayBitExact)
 TEST(MotionPipeline, MeasuredPowerComparisonIsTable4Consistent)
 {
     MappedMotionRun run =
-        runMappedMotion(smallRun(SchedulerKind::FastEdge));
+        runMappedMotion(smallRun(SchedulerKind::Compiled));
 
     // Table 4's MPEG4-QCIF row: 0% saved — the symmetric search
     // columns dominate at the top supply in both pricings.

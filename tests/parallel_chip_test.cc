@@ -1,17 +1,19 @@
-/** @file The parallel-columns backend held to the project invariant:
- * bit-identical state, stats, ticks and outputs vs the single-threaded
- * backends on every mapped app, for every tested team size — plus a
- * deterministic skewed-load stress that forces a real barrier wait on
- * a known slot. */
+/** @file The Compiled backend's comm-quiet window walk held to the
+ * project invariant: columns run through each proven-quiet window
+ * one after another, in parallel only in simulated time, and must
+ * stay bit-identical to the event queue — state, stats, ticks and
+ * outputs — on every mapped app, one-shot and run(1)-stepped, plus a
+ * deterministic skewed-load stress with jittered window bounds. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <any>
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <future>
+#include <string>
 #include <vector>
 
+#include "apps/app_registry.hh"
 #include "apps/motion_runner.hh"
 #include "apps/pipeline_runner.hh"
 #include "apps/stereo_runner.hh"
@@ -22,91 +24,104 @@
 
 using namespace synchro;
 using namespace synchro::apps;
+using synchro::test::allStats;
 
 namespace
 {
 
 /**
- * The team sizes every mapped app is cross-checked at: serial, two
- * real threads, four, and "all columns" (64 clamps to the column
- * count inside the scheduler — every app here has fewer columns).
- */
-constexpr unsigned TeamSizes[] = {1, 2, 4, 64};
-
-/**
- * Run @p runApp on the two serial fast paths, then on the
- * parallel-columns backend at every team size, and EXPECT the whole
- * observable surface — golden bit-exactness, exit reason, final
- * tick, every chip statistic, and the app output extracted by
- * @p outOf — identical to the FastEdge reference.
+ * Run @p runApp on the event queue and on Compiled, and EXPECT the
+ * whole observable surface — golden bit-exactness, exit reason,
+ * final tick, every chip statistic, and the app output extracted by
+ * @p outOf — identical.
  */
 template <typename Params, typename RunFn, typename OutFn>
 void
-crossCheckParallelTeams(RunFn runApp, Params base, OutFn outOf)
+crossCheckOneShot(RunFn runApp, Params base, OutFn outOf)
 {
-    base.scheduler = SchedulerKind::FastEdge;
-    base.parallel_team = 0;
-    auto fe = runApp(base);
-    EXPECT_TRUE(fe.bit_exact);
+    base.scheduler = SchedulerKind::EventQueue;
+    auto eq = runApp(base);
+    EXPECT_TRUE(eq.bit_exact);
 
     base.scheduler = SchedulerKind::Compiled;
     auto co = runApp(base);
     EXPECT_TRUE(co.bit_exact);
-    EXPECT_EQ(co.ticks, fe.ticks);
-    EXPECT_EQ(co.stats, fe.stats);
-    EXPECT_EQ(outOf(co), outOf(fe));
+    EXPECT_EQ(int(co.result.exit), int(eq.result.exit));
+    EXPECT_EQ(co.ticks, eq.ticks);
+    EXPECT_EQ(co.stats, eq.stats);
+    EXPECT_EQ(outOf(co), outOf(eq));
+}
 
-    for (unsigned team : TeamSizes) {
-        base.scheduler = SchedulerKind::ParallelColumns;
-        base.parallel_team = team;
-        auto run = runApp(base);
-        EXPECT_TRUE(run.bit_exact) << "team " << team;
-        EXPECT_EQ(int(run.result.exit), int(fe.result.exit))
-            << "team " << team;
-        EXPECT_EQ(run.ticks, fe.ticks) << "team " << team;
-        EXPECT_EQ(run.stats, fe.stats) << "team " << team;
-        EXPECT_EQ(outOf(run), outOf(fe)) << "team " << team;
-    }
+/**
+ * Build app @p name's chip through its fleet view on both backends,
+ * feed both the same item, then run the event-queue chip in one call
+ * and the Compiled chip in run(1) steps. The stepped run decomposes
+ * every window at the tick budget, so this proves the walk credits
+ * identically however its windows are cut.
+ */
+void
+crossCheckStepped(const std::string &name, const std::any &params)
+{
+    const sim::FleetWorkload wl =
+        AppRegistry::instance().at(name).fleet(params);
+
+    auto eq = wl.build(SchedulerKind::EventQueue);
+    wl.feed(*eq, 1);
+    const arch::RunResult re = eq->run(wl.tick_limit);
+    ASSERT_EQ(int(re.exit), int(arch::RunExit::AllHalted));
+
+    auto co = wl.build(SchedulerKind::Compiled);
+    wl.feed(*co, 1);
+    for (Tick i = 0; i <= wl.tick_limit && !co->allHalted(); ++i)
+        co->run(1);
+    ASSERT_TRUE(co->allHalted());
+
+    EXPECT_EQ(co->curTick(), eq->curTick());
+    EXPECT_EQ(allStats(*co), allStats(*eq));
+    EXPECT_EQ(wl.read_output(*co), wl.read_output(*eq));
+    EXPECT_EQ(wl.read_output(*co), wl.golden(1));
 }
 
 } // namespace
 
-TEST(ParallelChip, DdcBitExactAtEveryTeamSize)
+TEST(WindowWalkChip, DdcMatchesEventQueue)
 {
     DdcPipelineParams p;
-    p.samples = 256; // keep the TSan legs fast
-    crossCheckParallelTeams(runMappedDdc, p,
-                            [](const MappedDdcRun &r) {
-                                return r.output;
-                            });
+    p.samples = 256; // keep the sanitizer legs fast
+    crossCheckOneShot(runMappedDdc, p, [](const MappedDdcRun &r) {
+        return r.output;
+    });
+    crossCheckStepped("ddc", p);
 }
 
-TEST(ParallelChip, WifiBitExactAtEveryTeamSize)
+TEST(WindowWalkChip, WifiMatchesEventQueue)
 {
     WifiPipelineParams p;
     p.symbols = 8;
-    crossCheckParallelTeams(runMappedWifi, p,
-                            [](const MappedWifiRun &r) {
-                                return r.output;
-                            });
+    crossCheckOneShot(runMappedWifi, p, [](const MappedWifiRun &r) {
+        return r.output;
+    });
+    crossCheckStepped("wifi", p);
 }
 
-TEST(ParallelChip, StereoBitExactAtEveryTeamSize)
+TEST(WindowWalkChip, StereoMatchesEventQueue)
 {
     StereoPipelineParams p;
-    crossCheckParallelTeams(runMappedStereo, p,
-                            [](const MappedStereoRun &r) {
-                                return r.output;
-                            });
+    crossCheckOneShot(runMappedStereo, p,
+                      [](const MappedStereoRun &r) {
+                          return r.output;
+                      });
+    crossCheckStepped("stereo", p);
 }
 
-TEST(ParallelChip, MotionBitExactAtEveryTeamSize)
+TEST(WindowWalkChip, MotionMatchesEventQueue)
 {
     MotionPipelineParams p;
-    crossCheckParallelTeams(runMappedMotion, p,
-                            [](const MappedMotionRun &r) {
-                                return r.output_keys;
-                            });
+    crossCheckOneShot(runMappedMotion, p,
+                      [](const MappedMotionRun &r) {
+                          return r.output_keys;
+                      });
+    crossCheckStepped("motion", p);
 }
 
 namespace
@@ -114,38 +129,24 @@ namespace
 
 /**
  * A synthetic SchedModel for deterministic stress: four domains on
- * dividers 1/2/3/4 with skewed edge quotas (domain 0 is the slow
- * column — it issues by far the most slots), reference phases that
- * only count (so any comm-quiet claim is truthful), and a
- * commQuiet() that replays a fixed jitter sequence — every window
- * boundary lands exactly where the sequence says, on every run and
- * every team size.
- *
- * When @p gated, the slow column's second slot (tick 1, the first
- * slot inside the first window) blocks on a promise that is only
- * released by the LAST window slot of domains 1 and 3 — the whole
- * share of the other member of a two-thread team. That member must
- * then sit at the epoch barrier while the leader is still
- * free-running the slow column: a forced barrier wait on a known
- * slot, mirroring fleet_test's forced-steal setup. The gate moves
- * wall-clock timing only, never simulated state, so the gated
- * parallel run must stay bit-identical to an ungated serial one.
+ * dividers 1/2/3/4 with skewed edge quotas (domain 0 issues by far
+ * the most slots), reference phases that only count (so any
+ * comm-quiet claim is truthful), and a commQuiet() that replays a
+ * fixed jitter sequence — every window boundary lands exactly where
+ * the sequence says, on every run.
  */
 class SkewStressModel : public SchedModel
 {
   public:
     static constexpr unsigned kDomains = 4;
     static constexpr uint64_t kQuota[kDomains] = {97, 40, 10, 20};
-    static constexpr uint64_t kGateEdge = 2;
 
-    SkewStressModel(bool gated, std::vector<Tick> jitter)
-        : gated_(gated), jitter_(std::move(jitter))
+    explicit SkewStressModel(std::vector<Tick> jitter)
+        : jitter_(std::move(jitter))
     {
         static constexpr unsigned divs[kDomains] = {1, 2, 3, 4};
         for (unsigned d = 0; d < kDomains; ++d)
             clocks_.emplace_back(600e6, divs[d], 0);
-        if (gated_)
-            release_ = gate_.get_future().share();
     }
 
     unsigned numDomains() const override { return kDomains; }
@@ -159,8 +160,7 @@ class SkewStressModel : public SchedModel
     bool
     domainHalted(unsigned d) const override
     {
-        return edges_[d].load(std::memory_order_relaxed) >=
-               kQuota[d];
+        return edges_[d] >= kQuota[d];
     }
 
     bool
@@ -173,49 +173,15 @@ class SkewStressModel : public SchedModel
         return true;
     }
 
-    void
-    domainEdge(unsigned d) override
+    void domainEdge(unsigned d) override { ++edges_[d]; }
+
+    void refPhase() override { ++phases_; }
+
+    Tick
+    commFreeAdvance(Tick max) override
     {
-        const uint64_t n =
-            edges_[d].load(std::memory_order_relaxed) + 1;
-        if (gated_ && d == 0 && n == kGateEdge) {
-            release_.wait_for(std::chrono::seconds(30));
-            // The promise fires only after domains 1 and 3 drained
-            // their full quotas; the promise/future pair orders
-            // those (relaxed) counter writes before these reads.
-            gate_order_ok_ =
-                edges_[1].load(std::memory_order_relaxed) >=
-                    kQuota[1] &&
-                edges_[3].load(std::memory_order_relaxed) >=
-                    kQuota[3];
-        }
-        edges_[d].store(n, std::memory_order_relaxed);
-        if (gated_ && d == 3 && n == kQuota[3])
-            gate_.set_value();
-    }
-
-    void
-    refPhase() override
-    {
-        for (auto &p : phases_)
-            ++p;
-    }
-
-    bool refPhaseInert() const override { return false; }
-
-    void
-    skipRefPhases(Tick n) override
-    {
-        for (auto &p : phases_)
-            p += n;
-    }
-
-    bool domainsIndependent() const override { return true; }
-
-    void
-    domainRefAdvance(unsigned d, Tick n) override
-    {
-        phases_[d] += n;
+        phases_ += max;
+        return max;
     }
 
     Tick
@@ -230,99 +196,52 @@ class SkewStressModel : public SchedModel
     std::array<uint64_t, kDomains>
     edgesSnapshot() const
     {
-        std::array<uint64_t, kDomains> out{};
-        for (unsigned d = 0; d < kDomains; ++d)
-            out[d] = edges_[d].load(std::memory_order_relaxed);
-        return out;
+        return edges_;
     }
 
-    std::array<uint64_t, kDomains>
-    phasesSnapshot() const
-    {
-        return phases_;
-    }
-
-    bool gateOrderOk() const { return gate_order_ok_; }
+    uint64_t phases() const { return phases_; }
 
   private:
-    const bool gated_;
     const std::vector<Tick> jitter_;
     mutable size_t probe_ = 0;
     std::vector<ClockDomain> clocks_;
-    std::array<std::atomic<uint64_t>, kDomains> edges_{};
-    std::array<uint64_t, kDomains> phases_{};
-    std::promise<void> gate_;
-    std::shared_future<void> release_;
-    bool gate_order_ok_ = false;
+    std::array<uint64_t, kDomains> edges_{};
+    uint64_t phases_ = 0;
 };
+
+const std::vector<Tick> kJitter = {7, 31, 3, 17, 1, 61, 11, 5};
 
 } // namespace
 
-TEST(ParallelStress, JitteredWindowsMatchSerialBitExactly)
+TEST(WindowWalkStress, JitteredWindowsMatchEventQueueBitExactly)
 {
-    // Window widths deliberately straddle the scheduler's inline
-    // threshold, so both the barrier path and the leader-inline
-    // path run, with boundaries jittered across the whole run.
-    const std::vector<Tick> jitter = {7, 31, 3, 17, 1, 61, 11, 5};
+    SkewStressModel ref(kJitter);
+    auto eq = makeScheduler(SchedulerKind::EventQueue);
+    SchedStop se = eq->run(ref, 1'000'000);
+    ASSERT_EQ(int(se), int(SchedStop::AllHalted));
 
-    SkewStressModel ref(false, jitter);
-    auto fe = makeScheduler(SchedulerKind::FastEdge);
-    SchedStop ss = fe->run(ref, 1'000'000);
-    ASSERT_EQ(int(ss), int(SchedStop::AllHalted));
-
-    for (unsigned team : {2u, 4u}) {
-        SkewStressModel par(false, jitter);
-        auto ps =
-            makeScheduler(SchedulerKind::ParallelColumns, team);
-        SchedStop sp = ps->run(par, 1'000'000);
-        EXPECT_EQ(int(sp), int(ss)) << "team " << team;
-        EXPECT_EQ(ps->curTick(), fe->curTick()) << "team " << team;
-        EXPECT_EQ(par.edgesSnapshot(), ref.edgesSnapshot())
-            << "team " << team;
-        EXPECT_EQ(par.phasesSnapshot(), ref.phasesSnapshot())
-            << "team " << team;
-    }
+    SkewStressModel walked(kJitter);
+    auto co = makeScheduler(SchedulerKind::Compiled);
+    SchedStop sc = co->run(walked, 1'000'000);
+    EXPECT_EQ(int(sc), int(se));
+    EXPECT_EQ(co->curTick(), eq->curTick());
+    EXPECT_EQ(walked.edgesSnapshot(), ref.edgesSnapshot());
+    EXPECT_EQ(walked.phases(), ref.phases());
 }
 
-TEST(ParallelStress, ForcedBarrierWaitOnKnownSlot)
-{
-    // One huge window swallows the whole run, so the first window's
-    // rendezvous is the only barrier — and the gate guarantees the
-    // fast member reaches it while the slow column is still issuing.
-    const std::vector<Tick> one_window = {500};
-
-    SkewStressModel ref(false, one_window);
-    auto fe = makeScheduler(SchedulerKind::FastEdge);
-    SchedStop ss = fe->run(ref, 1'000'000);
-    ASSERT_EQ(int(ss), int(SchedStop::AllHalted));
-
-    SkewStressModel par(true, one_window);
-    auto ps = makeScheduler(SchedulerKind::ParallelColumns, 2);
-    SchedStop sp = ps->run(par, 1'000'000);
-    EXPECT_EQ(int(sp), int(ss));
-    // The known slot: domain 0's tick-1 issue slot saw domains 1
-    // and 3 fully drained before it executed.
-    EXPECT_TRUE(par.gateOrderOk());
-    EXPECT_EQ(ps->curTick(), fe->curTick());
-    EXPECT_EQ(par.edgesSnapshot(), ref.edgesSnapshot());
-    EXPECT_EQ(par.phasesSnapshot(), ref.phasesSnapshot());
-}
-
-TEST(ParallelStress, SteppedRunsMatchOneBigRun)
+TEST(WindowWalkStress, SteppedRunsMatchOneBigRun)
 {
     // run(1) in a loop must land on exactly the same state as one
     // large run — the window logic caps at the tick budget, so a
     // stepped run decomposes windows differently but credits
     // identically.
-    const std::vector<Tick> jitter = {7, 31, 3, 17, 1, 61, 11, 5};
-
-    SkewStressModel big(false, jitter);
-    auto sb = makeScheduler(SchedulerKind::ParallelColumns, 2);
+    SkewStressModel big(kJitter);
+    auto sb = makeScheduler(SchedulerKind::Compiled);
     ASSERT_EQ(int(sb->run(big, 1'000'000)),
               int(SchedStop::AllHalted));
 
-    SkewStressModel stepped(false, jitter);
-    auto st = makeScheduler(SchedulerKind::ParallelColumns, 2);
+    SkewStressModel stepped(kJitter);
+    auto st = makeScheduler(SchedulerKind::Compiled);
     SchedStop last = SchedStop::TickLimit;
     for (unsigned i = 0; i < 100'000 && last != SchedStop::AllHalted;
          ++i)
@@ -330,5 +249,5 @@ TEST(ParallelStress, SteppedRunsMatchOneBigRun)
     EXPECT_EQ(int(last), int(SchedStop::AllHalted));
     EXPECT_EQ(st->curTick(), sb->curTick());
     EXPECT_EQ(stepped.edgesSnapshot(), big.edgesSnapshot());
-    EXPECT_EQ(stepped.phasesSnapshot(), big.phasesSnapshot());
+    EXPECT_EQ(stepped.phases(), big.phases());
 }

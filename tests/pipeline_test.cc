@@ -85,7 +85,7 @@ TEST(Pipeline, PlanMapsEveryActorToItsOwnColumn)
 
 TEST(Pipeline, MeasuredPowerComparisonIsTable4Consistent)
 {
-    MappedDdcRun run = runMappedDdc(smallRun(SchedulerKind::FastEdge));
+    MappedDdcRun run = runMappedDdc(smallRun(SchedulerKind::Compiled));
 
     // Multi-V must beat single-V, and the saving must be consistent
     // in sign and magnitude (+-10 pp) with the paper's Table 4 DDC

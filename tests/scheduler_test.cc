@@ -1,5 +1,5 @@
 /** @file Scheduler-backend seams: ClockDomain edge-iteration
- * equivalence, fast-path vs event-queue bit-identical execution, DOU
+ * equivalence, compiled vs event-queue bit-identical execution, DOU
  * fast-forward arithmetic, and resume/tick-limit semantics. */
 
 #include <gtest/gtest.h>
@@ -68,7 +68,9 @@ TEST(ClockEdges, NextEdgeIsStrictlyAfterAndOnEdge)
 }
 
 // ---------------------------------------------------------------
-// Dou::skipSteps must be arithmetically identical to n step() calls.
+// Dou::fastForwardCommFree must be arithmetically identical to n
+// step() calls — here through an inert self-loop, where the walk
+// takes its closed-form counter-wrap path.
 
 TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
 {
@@ -83,7 +85,7 @@ TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
 
             for (uint64_t i = 0; i < n; ++i)
                 stepped.step();
-            skipped.skipSteps(n);
+            skipped.fastForwardCommFree(n);
 
             EXPECT_EQ(skipped.counter(0), stepped.counter(0))
                 << "init " << init << " n " << n;
@@ -94,17 +96,21 @@ TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
     }
 }
 
-TEST(DouSkip, RefusesNonSelfLoopState)
+TEST(DouSkip, RefusesActiveState)
 {
+    // One comm-free step, then a state whose tile 0 drives the bus:
+    // fast-forwarding past it would skip a transfer.
     DouProgram p;
     DouState s0;
-    s0.nxt0 = s0.nxt1 = 1; // not a self-loop
+    s0.nxt0 = s0.nxt1 = 1;
     DouState s1;
+    s1.buf[0] = 1;
     s1.nxt0 = s1.nxt1 = 1;
     p.states = {s0, s1};
     Dou dou(0);
     dou.load(p);
-    EXPECT_THROW(dou.skipSteps(3), PanicError);
+    EXPECT_EQ(dou.commFreeRun(3), 1u);
+    EXPECT_THROW(dou.fastForwardCommFree(3), PanicError);
 }
 
 // ---------------------------------------------------------------
@@ -300,7 +306,7 @@ TEST(SchedulerEquivalence, SteppedRunMatchesBatchOnFastPaths)
 
 TEST(SchedulerEquivalence, FastPathSkipsWork)
 {
-    // Sanity that the fast path actually exploits the edge pattern:
+    // Sanity that the window walk credits skipped work exactly:
     // with dividers {8,8,4,2} and idle DOUs, the per-tick DOU step
     // stats must still match the event queue exactly (the skipped
     // ticks are credited arithmetically).
@@ -321,8 +327,7 @@ TEST(SchedulerEquivalence, FastPathSkipsWork)
 
 TEST(SchedulerFactory, NamesAndKinds)
 {
-    const char *names[] = {"eventq", "fastedge", "compiled",
-                           "parallel"};
+    const char *names[] = {"eventq", "compiled"};
     int i = 0;
     for (SchedulerKind kind : AllSchedulerKinds) {
         auto sched = makeScheduler(kind);
@@ -337,4 +342,15 @@ TEST(SchedulerFactory, NamesAndKinds)
         EXPECT_EQ(int(parsed), int(kind));
     }
     EXPECT_FALSE(parseSchedulerKind("warp-drive", parsed));
+    // The retired backends are rejected, not silently remapped —
+    // by the parser and by the --backend flag.
+    for (const char *retired : {"fastedge", "parallel"}) {
+        EXPECT_FALSE(parseSchedulerKind(retired, parsed)) << retired;
+        std::string flag = std::string("--backend=") + retired;
+        char prog[] = "bench";
+        char *argv[] = {prog, flag.data(), nullptr};
+        int argc = 2;
+        EXPECT_THROW(backendFromArgs(argc, argv), FatalError)
+            << retired;
+    }
 }

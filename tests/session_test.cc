@@ -163,7 +163,7 @@ TEST(SimSession, MixedSchedulerBackendsAgree)
     // mirrored fleet must produce identical results.
     sim::SimSession session;
     for (auto kind :
-         {SchedulerKind::EventQueue, SchedulerKind::FastEdge}) {
+         {SchedulerKind::EventQueue, SchedulerKind::Compiled}) {
         ChipConfig cfg;
         cfg.dividers = {8, 8, 4, 2};
         cfg.scheduler = kind;
@@ -287,7 +287,7 @@ TEST(SimSession, HeterogeneousBatchDeterministicAcrossThreadCounts)
             cfg.dividers = {1u + i % 5, 2u + i % 4};
             cfg.tiles_per_column = 1 + i % 4;
             cfg.scheduler = i % 2 ? SchedulerKind::EventQueue
-                                  : SchedulerKind::FastEdge;
+                                  : SchedulerKind::Compiled;
             auto chip = std::make_unique<Chip>(cfg);
             for (unsigned c = 0; c < chip->numColumns(); ++c) {
                 chip->column(c).controller().loadProgram(
@@ -340,7 +340,7 @@ TEST(SimSession, AdmitCoversEveryProvenanceAndKnob)
     ChipConfig cfg;
     cfg.dividers = {1};
     cfg.tiles_per_column = 1;
-    cfg.scheduler = SchedulerKind::FastEdge;
+    cfg.scheduler = SchedulerKind::Compiled;
     unsigned a = session.admit(
         sim::ChipSpec(cfg).backend(SchedulerKind::EventQueue));
     EXPECT_EQ(int(session.chip(a).schedulerKind()),

@@ -142,7 +142,7 @@ TEST(StereoPipeline, PlanMapsTheDagToSixColumns)
 TEST(StereoPipeline, MeasuredPowerComparisonIsTable4Consistent)
 {
     MappedStereoRun run =
-        runMappedStereo(smallRun(SchedulerKind::FastEdge));
+        runMappedStereo(smallRun(SchedulerKind::Compiled));
 
     // Table 4's SV row: 32% saved by multiple voltage domains (the
     // serial stage pins the single-voltage baseline at the top

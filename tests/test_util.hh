@@ -44,9 +44,7 @@ runToHalt(arch::Chip &chip, Tick limit = 1'000'000)
  */
 inline constexpr SchedulerKind AllSchedulerKinds[] = {
     SchedulerKind::EventQueue,
-    SchedulerKind::FastEdge,
     SchedulerKind::Compiled,
-    SchedulerKind::ParallelColumns,
 };
 
 /** Every stat of the chip, flattened for comparison. */
@@ -97,11 +95,6 @@ crossCheckBackends(arch::ChipConfig cfg,
         if (kind == SchedulerKind::EventQueue)
             continue;
         cfg.scheduler = kind;
-        // A real team even on small CI machines: automatic sizing
-        // may resolve to 1 thread, which would leave the barrier
-        // paths untested here.
-        cfg.parallel_columns =
-            kind == SchedulerKind::ParallelColumns ? 2 : 0;
         arch::Chip chip(cfg);
         configure(chip);
         arch::RunResult rc = chip.run(max_ticks);

@@ -276,7 +276,7 @@ TEST(Verifier, LookaheadHorizonDisagreementRejected)
         << rep.errorSummary();
 
     // Declaring no horizon at all is legal (a Note, not an error):
-    // the parallel-columns runtime then relies on its dynamic
+    // the Compiled window walk then relies on its dynamic
     // comm-quiet probe alone.
     prog.lookahead_horizon = 0;
     VerifyReport none = verifyLowered(spec, plan, prog, 20e6, 1.4);

@@ -72,7 +72,7 @@ TEST(WifiPipeline, SurvivesAnImpairedChannel)
     // With noise the chip must still match the golden chain bit for
     // bit (both demap the same quantized symbols) even though the
     // payload itself may take bit errors.
-    WifiPipelineParams p = smallRun(SchedulerKind::FastEdge);
+    WifiPipelineParams p = smallRun(SchedulerKind::Compiled);
     p.snr_db = 12.0;
     MappedWifiRun run = runMappedWifi(p);
     EXPECT_TRUE(run.bit_exact);
@@ -109,7 +109,7 @@ TEST(WifiPipeline, PlanMapsTheDagToFiveColumns)
 TEST(WifiPipeline, MeasuredPowerComparisonIsTable4Consistent)
 {
     MappedWifiRun run =
-        runMappedWifi(smallRun(SchedulerKind::FastEdge));
+        runMappedWifi(smallRun(SchedulerKind::Compiled));
 
     // The ACS columns dominate at the top supply in both pricings,
     // so multiple voltage domains save little on this application —

@@ -13,13 +13,12 @@ committed baselines and fails CI when the perf trajectory regresses:
     drops more than ``--tolerance`` (default 25%) below its
     baseline,
   * a ``*warm_start_speedup`` ratio (Chip::clone warm start vs
-    cold codegen + program load, both timed in the same process so
-    the machine cancels out) drops more than ``--tolerance``,
+    cold plan + codegen + program load, both timed in the same
+    process so the machine cancels out) drops more than
+    ``--tolerance``,
   * any other wall-clock throughput metric (``*_ticks_per_sec``,
-    ``*_mticks_per_s``, ``*_speedup`` — including the
-    parallel-columns ``*parallel_speedup`` ratio, whose team
-    benefit depends on the host's spare cores — the fleet's
-    ``chips_s`` / ``ticks_s`` serving rates) drops more than
+    ``*_mticks_per_s``, ``*_speedup``, the fleet's ``chips_s`` /
+    ``ticks_s`` serving rates) drops more than
     ``--wall-tolerance`` (default 60%) — looser because the
     committed baselines and the CI runner are different machines;
     the floor still catches order-of-magnitude slowdowns,
@@ -82,12 +81,6 @@ def classify(key):
     # back to back in one process, so the machine cancels out.
     if key.endswith("warm_start_speedup"):
         return "throughput"
-    # The parallel-columns ratio does NOT cancel the machine: the
-    # column team's benefit depends on spare host cores, and the
-    # committed baseline and the CI runner differ exactly there —
-    # so it gets the loose wall-clock tolerance.
-    if key.endswith("parallel_speedup"):
-        return "wall_throughput"
     if key.endswith(WALL_CLOCK_SUFFIXES):
         return "wall_throughput"
     return None
@@ -182,8 +175,7 @@ def self_test():
                 "x_kbps": 100.0,
                 "compiled_speedup": 12.0,
                 "ddc_warm_start_speedup": 6.0,
-                "parallel_speedup": 1.8,
-                "fast_mticks_per_s": 10.0,
+                "eventq_mticks_per_s": 10.0,
                 "chips_s": 200.0,
                 "ticks_s": 1.4e7,
                 "bit_exact": 1,
@@ -200,8 +192,7 @@ def self_test():
                 "x_kbps": 60.0,          # -40% simulated throughput
                 "compiled_speedup": 8.0,  # -33% backend ratio
                 "ddc_warm_start_speedup": 4.0,  # -33% warm-start
-                "parallel_speedup": 0.3,  # -83% column-team ratio
-                "fast_mticks_per_s": 2.0,  # -80% wall throughput
+                "eventq_mticks_per_s": 2.0,  # -80% wall throughput
                 "chips_s": 40.0,         # -80% fleet serving rate
                 "ticks_s": 2.8e6,        # -80% fleet tick rate
                 "bit_exact": 0,          # flag regressed
@@ -220,8 +211,8 @@ def self_test():
 
         failures, _ = compare_dirs(base, fresh, 0.25, 0.60)
         wanted = ["x_kbps", "compiled_speedup",
-                  "ddc_warm_start_speedup", "parallel_speedup",
-                  "fast_mticks_per_s", "chips_s", "ticks_s",
+                  "ddc_warm_start_speedup",
+                  "eventq_mticks_per_s", "chips_s", "ticks_s",
                   "bit_exact",
                   "agreement", "savings_pct", "baseline_gap_pct",
                   "governed_savings_pct", "oracle_gap_pct",

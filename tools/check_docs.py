@@ -208,7 +208,7 @@ def self_test():
             {"explore_summary": {"max_baseline_gap_pct": 0.0}}))
         (root / "BENCH_z.json").write_text(json_mod.dumps(
             {"core": {"compiled_speedup": 11.0421,
-                      "fastpath_speedup": 2.66}}))
+                      "ddc_warm_start_speedup": 2.66}}))
 
         clean = ("[good](docs/GOOD.md) [abs](/docs/GOOD.md) "
                  "`src/real.{hh,cc}` see BENCH_*.json\n"
