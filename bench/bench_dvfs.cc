@@ -63,7 +63,8 @@ main(int argc, char **argv)
     std::printf("building DVFS app hooks (plan + lower + verifier "
                 "gate, once per app)...\n");
     const std::vector<power::DvfsAppHooks> apps = {
-        dvfsDdc(dp), dvfsWifi(wp), dvfsStereo(sp), dvfsMotion(mp)};
+        dvfsView(ddcSpec(), dp), dvfsView(wifiSpec(), wp),
+        dvfsView(stereoSpec(), sp), dvfsView(motionSpec(), mp)};
 
     bench::JsonReport report("BENCH_dvfs.json");
     bool all_ok = true;

@@ -9,7 +9,7 @@
  *   2. AutoMapper picks tiles, columns, dividers, voltages, ZORM
  *      (planApp)
  *   3. codegen lowers the kernels + transfer schedule onto the plan
- *      (the app's own lowerDag/lowerPipeline call)
+ *      (lowerDag of the DAG the app's MappedAppSpec builds)
  *   4. the chip streams the workload cycle-accurately (MappedApp)
  *   5. outputs are checked bit-exactly against the dsp:: goldens
  *      (describeMismatch reports the first divergence)

@@ -1,70 +1,27 @@
 #include "apps/app_registry.hh"
 
+#include "apps/motion_runner.hh"
+#include "apps/pipeline_runner.hh"
+#include "apps/stereo_runner.hh"
+#include "apps/wifi_runner.hh"
+
 namespace synchro::apps
 {
 
-mapping::ExplorableApp
-AppDescriptor::explorable(const std::any &params) const
-{
-    if (!explorable_hook)
-        fatal("app '%s' has no explorable hook", name.c_str());
-    return explorable_hook(params);
-}
-
-mapping::LoweredArtifact
-AppDescriptor::verifiable(const std::any &params) const
-{
-    if (!verifiable_hook)
-        fatal("app '%s' has no verifiable hook", name.c_str());
-    return verifiable_hook(params);
-}
-
-sim::FleetWorkload
-AppDescriptor::fleet(const std::any &params) const
-{
-    if (!fleet_hook)
-        fatal("app '%s' has no fleet hook", name.c_str());
-    return fleet_hook(params);
-}
-
-power::DvfsAppHooks
-AppDescriptor::dvfs(const std::any &params) const
-{
-    if (!dvfs_hook)
-        fatal("app '%s' has no dvfs hook", name.c_str());
-    return dvfs_hook(params);
-}
-
-std::any
-AppDescriptor::params(const AppTuning &tuning) const
-{
-    if (!make_params)
-        fatal("app '%s' has no params factory", name.c_str());
-    return make_params(tuning);
-}
-
-AppRegistry &
+const AppRegistry &
 AppRegistry::instance()
 {
-    // Lazy, centralized registration: no static-init order to get
-    // wrong, nothing for a static-library link to dead-strip.
-    static AppRegistry reg = [] {
+    // Built on first use: no static-init order to get wrong, nothing
+    // for a static-library link to dead-strip.
+    static const AppRegistry reg = [] {
         AppRegistry r;
-        detail::registerDdcApp(r);
-        detail::registerWifiApp(r);
-        detail::registerStereoApp(r);
-        detail::registerMotionApp(r);
+        for (AppDescriptor d :
+             {AppDescriptor(ddcSpec()), AppDescriptor(wifiSpec()),
+              AppDescriptor(stereoSpec()), AppDescriptor(motionSpec())})
+            r.apps_.emplace(d.name, std::move(d));
         return r;
     }();
     return reg;
-}
-
-void
-AppRegistry::add(AppDescriptor desc)
-{
-    if (desc.name.empty())
-        fatal("AppRegistry::add: descriptor needs a name");
-    apps_[desc.name] = std::move(desc);
 }
 
 const AppDescriptor &

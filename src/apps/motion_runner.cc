@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
-#include "apps/app_registry.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 
@@ -246,28 +244,6 @@ motionGoldenKeys(const dsp::Image &cur, const dsp::Image &ref)
     return keys;
 }
 
-/**
- * Tick budget for one run: generous — one key per shard per
- * slot_spacing ticks plus the search itself, with plenty of slack.
- */
-Tick
-motionTickLimit(unsigned cols, const mapping::PipelineProgram &prog)
-{
-    return Tick(mbsPerCol(cols)) * (prog.slot_spacing + MeCost) * 4 +
-           1'000'000;
-}
-
-/** The packed search keys, read back from a finished chip. */
-std::vector<int32_t>
-readMotionOutput(arch::Chip &chip,
-                 const mapping::PipelineProgram &prog)
-{
-    const auto &join_col = prog.columnFor("join");
-    return chip.column(join_col.column)
-        .tile(0)
-        .readMemWords(JoinOut, MotionMbs);
-}
-
 /** Search-farm width a candidate plan encodes (its me-* actors). */
 unsigned
 planColumns(const mapping::ChipPlan &plan)
@@ -389,43 +365,91 @@ motionDag(const MotionPipelineParams &p, const dsp::Image &cur,
     return spec;
 }
 
+const MotionSpec &
+motionSpec()
+{
+    static const MotionSpec spec = [] {
+        MotionSpec s;
+        s.name = "motion";
+        s.input = [](const MotionPipelineParams &p) {
+            MotionInput in;
+            motionScene(p, in.cur, in.ref);
+            return in;
+        };
+        s.golden = [](const MotionPipelineParams &,
+                      const MotionInput &in) {
+            return motionGoldenKeys(in.cur, in.ref);
+        };
+        s.plan = &planMotion;
+        // The search-farm width is read off the plan itself, so one
+        // dag() serves every shard variant the explorer measures.
+        s.dag = [](const MotionPipelineParams &p, const MotionInput &in,
+                   const mapping::ChipPlan &plan) {
+            MotionPipelineParams q = p;
+            q.columns = planColumns(plan);
+            return motionDag(q, in.cur, in.ref);
+        };
+        // One SDF iteration searches one macroblock per column.
+        s.rate = [](const MotionPipelineParams &p) {
+            return p.mb_rate_hz / p.columns;
+        };
+        // Generous: one key per shard per slot_spacing ticks plus
+        // the search itself, with plenty of slack.
+        s.tick_limit = [](const MotionPipelineParams &,
+                          const mapping::ChipPlan &plan,
+                          const mapping::PipelineProgram &prog) {
+            return Tick(mbsPerCol(planColumns(plan))) *
+                       (prog.slot_spacing + MeCost) * 4 +
+                   1'000'000;
+        };
+        s.read_output = [](const MotionPipelineParams &,
+                           arch::Chip &chip,
+                           const mapping::PipelineProgram &prog) {
+            return chip.column(prog.columnFor("join").column)
+                .tile(0)
+                .readMemWords(JoinOut, MotionMbs);
+        };
+        s.priced_items = [](const MotionPipelineParams &) {
+            return uint64_t(MotionMbs);
+        };
+        // One work item is a whole frame's macroblocks.
+        s.iterations_per_item = [](const MotionPipelineParams &p) {
+            return uint64_t(MotionMbs / p.columns);
+        };
+        // The same total macroblock rate spread across a different
+        // number of symmetric search columns. Each carries its own
+        // AutoMapper plan (per-column demand changes with the width)
+        // and per-column iteration rate.
+        s.shard_variants = [](const MotionPipelineParams &p) {
+            std::vector<mapping::PlanVariant> out;
+            for (unsigned cols = 1; cols <= MaxMotionColumns; ++cols) {
+                if (cols == p.columns || MotionMbs % cols != 0)
+                    continue;
+                MotionPipelineParams q = p;
+                q.columns = cols;
+                if (auto plan = planMotion(q))
+                    out.push_back({strprintf("shards=%u", cols), *plan,
+                                   p.mb_rate_hz / cols});
+            }
+            return out;
+        };
+        return s;
+    }();
+    return spec;
+}
+
 MappedMotionRun
 runMappedMotion(const MotionPipelineParams &p)
 {
-    checkParams(p);
+    auto core = runSpec(motionSpec(), p);
     MappedMotionRun run;
-    dsp::Image cur(W, H), ref(W, H);
-    motionScene(p, cur, ref);
-
-    auto cands = motionCandidates();
-    run.golden_keys = motionGoldenKeys(cur, ref);
-
-    auto plan = planMotion(p);
-    if (!plan)
-        fatal("motion: no feasible mapping at %.0f macroblocks/s",
-              p.mb_rate_hz);
-
-    auto prog = mapping::lowerDag(motionDag(p, cur, ref), *plan,
-                                  p.mb_rate_hz / p.columns,
-                                  p.slack);
-
-    MappedAppParams hp;
-    hp.app = "motion";
-    hp.scheduler = p.scheduler;
-    hp.tick_limit = motionTickLimit(p.columns, prog);
-    hp.priced_items = MotionMbs;
-    MappedApp app(hp, *plan, prog);
-    static_cast<MappedAppRun &>(run) = app.run();
+    static_cast<MappedAppRun &>(run) = std::move(core);
+    run.output_keys = std::move(core.output);
+    run.golden_keys = std::move(core.golden);
+    run.bit_exact = core.bit_exact;
     run.achieved_mb_rate_hz = run.achieved_items_per_sec;
 
-    run.output_keys = readMotionOutput(app.chip(), prog);
-    run.bit_exact = run.output_keys == run.golden_keys;
-    if (!run.bit_exact)
-        warn("%s",
-             describeMismatch("motion search keys", run.output_keys,
-                              run.golden_keys)
-                 .c_str());
-
+    auto cands = motionCandidates();
     unsigned hits = 0;
     for (unsigned g = 0; g < MotionMbs; ++g) {
         uint32_t key = uint32_t(run.output_keys[g]);
@@ -439,196 +463,6 @@ runMappedMotion(const MotionPipelineParams &p)
     }
     run.pan_hit_rate = double(hits) / MotionMbs;
     return run;
-}
-
-static mapping::ExplorableApp
-explorableMotionImpl(const MotionPipelineParams &p)
-{
-    checkParams(p);
-    auto cur = std::make_shared<dsp::Image>(W, H);
-    auto ref = std::make_shared<dsp::Image>(W, H);
-    motionScene(p, *cur, *ref);
-    auto golden = std::make_shared<std::vector<int32_t>>(
-        motionGoldenKeys(*cur, *ref));
-    auto plan = planMotion(p);
-    if (!plan)
-        fatal("motion: no feasible mapping at %.0f macroblocks/s",
-              p.mb_rate_hz);
-
-    mapping::ExplorableApp app;
-    app.name = "motion";
-    app.iterations_per_sec = p.mb_rate_hz / p.columns;
-    app.priced_items = MotionMbs;
-    app.baseline = *plan;
-    // The hooks infer the search-farm width from the candidate plan
-    // itself, so one lower() serves every shard variant.
-    app.lower = [p, cur, ref](const mapping::ChipPlan &candidate,
-                              double rate) {
-        MotionPipelineParams q = p;
-        q.columns = planColumns(candidate);
-        return mapping::lowerDag(motionDag(q, *cur, *ref), candidate,
-                                 rate, p.slack);
-    };
-    app.tick_limit = [](const mapping::ChipPlan &candidate,
-                        const mapping::PipelineProgram &prog) {
-        return motionTickLimit(planColumns(candidate), prog);
-    };
-    app.verify = [golden](arch::Chip &chip,
-                          const mapping::PipelineProgram &prog) {
-        return describeMismatch("motion search keys",
-                                readMotionOutput(chip, prog),
-                                *golden);
-    };
-
-    // Shard variants: the same total macroblock rate spread across
-    // a different number of symmetric search columns. Each carries
-    // its own AutoMapper plan (per-column demand changes with the
-    // width) and per-column iteration rate.
-    for (unsigned cols = 1; cols <= MaxMotionColumns; ++cols) {
-        if (cols == p.columns || MotionMbs % cols != 0)
-            continue;
-        MotionPipelineParams q = p;
-        q.columns = cols;
-        auto vplan = planMotion(q);
-        if (!vplan)
-            continue;
-        app.shard_variants.push_back(
-            {strprintf("shards=%u", cols), *vplan,
-             p.mb_rate_hz / cols});
-    }
-    return app;
-}
-
-static mapping::LoweredArtifact
-verifiableMotionImpl(const MotionPipelineParams &p)
-{
-    checkParams(p);
-    dsp::Image cur(W, H), ref(W, H);
-    motionScene(p, cur, ref);
-    auto plan = planMotion(p);
-    if (!plan)
-        fatal("motion: no feasible mapping at %.0f macroblocks/s",
-              p.mb_rate_hz);
-
-    mapping::LoweredArtifact art;
-    art.name = "motion";
-    art.spec = motionDag(p, cur, ref);
-    art.plan = *plan;
-    art.iterations_per_sec = p.mb_rate_hz / p.columns;
-    art.slack = p.slack;
-    art.prog = mapping::lowerDag(art.spec, art.plan,
-                                 art.iterations_per_sec, art.slack);
-    return art;
-}
-
-static sim::FleetWorkload
-fleetMotionImpl(const MotionPipelineParams &p)
-{
-    checkParams(p);
-    auto base_plan = planMotion(p);
-    if (!base_plan)
-        fatal("motion: no feasible mapping at %.0f macroblocks/s",
-              p.mb_rate_hz);
-    auto plan =
-        std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
-
-    // The canonical program, lowered (and verified) once: the
-    // lowering depends only on the app parameters (its images are
-    // replaced per item), so one program serves the template build
-    // and every stream and item.
-    const double rate = p.mb_rate_hz / p.columns;
-    auto canon = [&] {
-        dsp::Image cur(W, H), ref(W, H);
-        motionScene(p, cur, ref);
-        return mapping::lowerDag(motionDag(p, cur, ref), *plan, rate,
-                                 p.slack);
-    };
-    auto prog =
-        std::make_shared<mapping::PipelineProgram>(canon());
-
-    sim::FleetWorkload wl;
-    wl.name = "motion";
-    wl.tick_limit = motionTickLimit(p.columns, *prog);
-    wl.build = [plan, prog](SchedulerKind kind) {
-        return buildFleetChip(*plan, *prog, kind);
-    };
-    wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
-        MotionPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        dsp::Image cur(W, H), ref(W, H);
-        motionScene(q, cur, ref);
-        refeedImages(chip, *prog, motionDag(q, cur, ref));
-    };
-    wl.read_output = [prog](arch::Chip &chip) {
-        return bytesOfWords(readMotionOutput(chip, *prog));
-    };
-    wl.golden = [p](uint64_t item) {
-        MotionPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        dsp::Image cur(W, H), ref(W, H);
-        motionScene(q, cur, ref);
-        return bytesOfWords(motionGoldenKeys(cur, ref));
-    };
-    return wl;
-}
-
-static power::DvfsAppHooks
-dvfsMotionImpl(const MotionPipelineParams &p)
-{
-    power::DvfsAppHooks h;
-    h.name = "motion";
-    h.artifact = verifiableMotionImpl(p);
-    h.workload = fleetMotionImpl(p);
-    h.traffic = sim::TrafficSpec::bursty(p.seed);
-    // One SDF iteration searches one macroblock per search column;
-    // one item is a whole frame's MotionMbs macroblocks.
-    h.iterations_per_item = MotionMbs / p.columns;
-    return h;
-}
-
-void
-detail::registerMotionApp(AppRegistry &reg)
-{
-    AppDescriptor desc;
-    desc.name = "motion";
-    desc.make_params = [](const AppTuning &t) {
-        MotionPipelineParams p;
-        if (t.scheduler)
-            p.scheduler = *t.scheduler;
-        if (t.seed)
-            p.seed = *t.seed;
-        return std::any(p);
-    };
-    desc.explorable_hook = appHook("motion", &explorableMotionImpl);
-    desc.verifiable_hook = appHook("motion", &verifiableMotionImpl);
-    desc.fleet_hook = appHook("motion", &fleetMotionImpl);
-    desc.dvfs_hook = appHook("motion", &dvfsMotionImpl);
-    reg.add(std::move(desc));
-}
-
-// Legacy free functions, reduced to registry wrappers.
-mapping::ExplorableApp
-explorableMotion(const MotionPipelineParams &p)
-{
-    return AppRegistry::instance().at("motion").explorable(p);
-}
-
-mapping::LoweredArtifact
-verifiableMotion(const MotionPipelineParams &p)
-{
-    return AppRegistry::instance().at("motion").verifiable(p);
-}
-
-sim::FleetWorkload
-fleetMotion(const MotionPipelineParams &p)
-{
-    return AppRegistry::instance().at("motion").fleet(p);
-}
-
-power::DvfsAppHooks
-dvfsMotion(const MotionPipelineParams &p)
-{
-    return AppRegistry::instance().at("motion").dvfs(p);
 }
 
 } // namespace synchro::apps

@@ -38,13 +38,9 @@
 #include <optional>
 #include <vector>
 
-#include "apps/app_harness.hh"
+#include "apps/app_registry.hh"
 #include "dsp/image.hh"
 #include "dsp/motion.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
 
 namespace synchro::apps
 {
@@ -147,49 +143,28 @@ mapping::DagSpec motionDag(const MotionPipelineParams &p,
                            const dsp::Image &cur,
                            const dsp::Image &ref);
 
+/** The scene: the current and reference frames (motionScene). */
+struct MotionInput
+{
+    dsp::Image cur{MotionWidth, MotionHeight};
+    dsp::Image ref{MotionWidth, MotionHeight};
+};
+
+/**
+ * The search as one MappedAppSpec: output = the packed search keys
+ * in macroblock order; its shard variants are the other search-farm
+ * widths. AppRegistry's "motion" entry and every generic view
+ * (app_registry.hh) derive from it.
+ */
+using MotionSpec =
+    MappedAppSpec<MotionPipelineParams, MotionInput, int32_t>;
+const MotionSpec &motionSpec();
+
 /**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not drain.
  */
 MappedMotionRun runMappedMotion(const MotionPipelineParams &p);
-
-/*
- * The capability hooks below are legacy wrappers: the estimator
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("motion")'s views.
- */
-
-/**
- * Package the pipeline for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan, and offers the alternative search-farm widths as shard
- * variants. fatal() if no feasible baseline mapping exists.
- */
-mapping::ExplorableApp explorableMotion(const MotionPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedMotion() runs.
- */
-mapping::LoweredArtifact
-verifiableMotion(const MotionPipelineParams &p);
-
-/**
- * Package the estimator for sim::FleetExecutor — the per-work-item
- * hook set: one cold build, then a restart/refeed per item with a
- * scene seeded by sim::fleetItemSeed(p.seed, item). Each item is one
- * frame pair's macroblock search; outputs and goldens are the packed
- * search-key words as bytes. fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetMotion(const MotionPipelineParams &p);
-
-/**
- * Package the estimator for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsMotion(const MotionPipelineParams &p);
 
 } // namespace synchro::apps
 

@@ -1,10 +1,7 @@
 #include "apps/pipeline_runner.hh"
 
 #include <cmath>
-#include <cstring>
-#include <memory>
 
-#include "apps/app_registry.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "dsp/cic.hh"
@@ -32,14 +29,6 @@ constexpr uint32_t FirCoefBase = 0x0000;  //!< reversed taps
 constexpr uint32_t FirHistIBase = 0x1000; //!< (taps-1) zeros + I
 constexpr uint32_t FirHistQBase = 0x2000;
 constexpr uint32_t DemodOutBase = 0x1000; //!< final output halves
-
-std::vector<uint8_t>
-halvesToBytes(const std::vector<int16_t> &h)
-{
-    std::vector<uint8_t> bytes(h.size() * 2);
-    std::memcpy(bytes.data(), h.data(), bytes.size());
-    return bytes;
-}
 
 /** The local oscillator table, one entry per input sample. */
 std::vector<CplxQ15>
@@ -84,28 +73,6 @@ firCost(unsigned taps)
     return 6 + 2 * (4 + 3 * uint64_t(taps) + 4) + 5;
 }
 constexpr uint64_t DemodCost = 12;
-
-/**
- * Tick budget for one run: generous — the delivery grid paces one
- * sample per slot_spacing ticks, plus pipeline fill and drain.
- */
-Tick
-ddcTickLimit(const DdcPipelineParams &p,
-             const mapping::PipelineProgram &prog)
-{
-    return Tick(p.samples) * prog.slot_spacing * 8 + 1'000'000;
-}
-
-/** The demod output halves, read back from a finished chip. */
-std::vector<int16_t>
-readDdcOutput(arch::Chip &chip, const mapping::PipelineProgram &prog,
-              unsigned outputs)
-{
-    const auto &demod_col = prog.columnFor("demod");
-    return chip.column(demod_col.column)
-        .tile(0)
-        .readMemHalves(DemodOutBase, outputs);
-}
 
 } // namespace
 
@@ -239,14 +206,14 @@ ddcStages(const DdcPipelineParams &p, const std::vector<int16_t> &x)
         max r2, r2, r4
 %s)",
                            PackIqCwr);
-    mixer.images.push_back({MixXBase, halvesToBytes(x)});
+    mixer.images.push_back({MixXBase, bytesOfHalves(x)});
     std::vector<int16_t> lo_flat;
     lo_flat.reserve(2 * n);
     for (const auto &s : makeLo(n)) {
         lo_flat.push_back(s.re);
         lo_flat.push_back(s.im);
     }
-    mixer.images.push_back({MixLoBase, halvesToBytes(lo_flat)});
+    mixer.images.push_back({MixLoBase, bytesOfHalves(lo_flat)});
 
     // ---- CIC integrator + decimator ----------------------------
     // Five wrapping int32 integrator stages per channel, state in
@@ -373,7 +340,7 @@ ddcStages(const DdcPipelineParams &p, const std::vector<int16_t> &x)
         taps == 63 ? dsp::designPfir63(0.22)
                    : dsp::designLowpassQ15(taps, 0.22);
     std::vector<int16_t> taps_rev(taps_fwd.rbegin(), taps_fwd.rend());
-    fir.images.push_back({FirCoefBase, halvesToBytes(taps_rev)});
+    fir.images.push_back({FirCoefBase, bytesOfHalves(taps_rev)});
 
     // ---- demod: I^2 + Q^2, rounded Q15 -------------------------
     PipelineStage demod;
@@ -404,197 +371,60 @@ ddcStages(const DdcPipelineParams &p, const std::vector<int16_t> &x)
     return {mixer, integ, comb, fir, demod};
 }
 
+const DdcSpec &
+ddcSpec()
+{
+    static const DdcSpec spec = [] {
+        DdcSpec s;
+        s.name = "ddc";
+        s.input = &ddcInput;
+        s.golden = &ddcGolden;
+        s.plan = &planDdc;
+        s.dag = [](const DdcPipelineParams &p,
+                   const std::vector<int16_t> &x,
+                   const mapping::ChipPlan &) {
+            return mapping::linearDagSpec(ddcStages(p, x));
+        };
+        // One SDF iteration per Decim input samples.
+        s.rate = [](const DdcPipelineParams &p) {
+            return p.sample_rate_hz / Decim;
+        };
+        // Generous: the delivery grid paces one sample per
+        // slot_spacing ticks, plus pipeline fill and drain.
+        s.tick_limit = [](const DdcPipelineParams &p,
+                          const mapping::ChipPlan &,
+                          const mapping::PipelineProgram &prog) {
+            return Tick(p.samples) * prog.slot_spacing * 8 + 1'000'000;
+        };
+        s.read_output = [](const DdcPipelineParams &p, arch::Chip &chip,
+                           const mapping::PipelineProgram &prog) {
+            return chip.column(prog.columnFor("demod").column)
+                .tile(0)
+                .readMemHalves(DemodOutBase, p.samples / Decim);
+        };
+        // One work item = one p.samples-long channel block.
+        s.priced_items = [](const DdcPipelineParams &p) {
+            return uint64_t(p.samples);
+        };
+        s.iterations_per_item = [](const DdcPipelineParams &p) {
+            return uint64_t(p.samples / Decim);
+        };
+        return s;
+    }();
+    return spec;
+}
+
 MappedDdcRun
 runMappedDdc(const DdcPipelineParams &p)
 {
+    auto core = runSpec(ddcSpec(), p);
     MappedDdcRun run;
-    std::vector<int16_t> x = ddcInput(p);
-    run.golden = ddcGolden(p, x);
-
-    auto plan = planDdc(p);
-    if (!plan)
-        fatal("ddc: no feasible mapping at %.1f MS/s",
-              p.sample_rate_hz / 1e6);
-
-    auto prog = mapping::lowerPipeline(ddcStages(p, x), *plan,
-                                       p.sample_rate_hz / Decim,
-                                       p.slack);
-
-    MappedAppParams hp;
-    hp.app = "ddc";
-    hp.scheduler = p.scheduler;
-    hp.tick_limit = ddcTickLimit(p, prog);
-    hp.priced_items = p.samples;
-    MappedApp app(hp, *plan, prog);
-    static_cast<MappedAppRun &>(run) = app.run();
+    static_cast<MappedAppRun &>(run) = std::move(core);
+    run.output = std::move(core.output);
+    run.golden = std::move(core.golden);
+    run.bit_exact = core.bit_exact;
     run.achieved_sample_rate_hz = run.achieved_items_per_sec;
-
-    run.output = readDdcOutput(app.chip(), prog, p.samples / Decim);
-    run.bit_exact = run.output == run.golden;
-    if (!run.bit_exact)
-        warn("%s",
-             describeMismatch("ddc demod output", run.output,
-                              run.golden)
-                 .c_str());
     return run;
-}
-
-static mapping::ExplorableApp
-explorableDdcImpl(const DdcPipelineParams &p)
-{
-    auto x = std::make_shared<std::vector<int16_t>>(ddcInput(p));
-    auto golden =
-        std::make_shared<std::vector<int16_t>>(ddcGolden(p, *x));
-    auto plan = planDdc(p);
-    if (!plan)
-        fatal("ddc: no feasible mapping at %.1f MS/s",
-              p.sample_rate_hz / 1e6);
-
-    mapping::ExplorableApp app;
-    app.name = "ddc";
-    app.iterations_per_sec = p.sample_rate_hz / Decim;
-    app.priced_items = p.samples;
-    app.baseline = *plan;
-    app.lower = [p, x](const mapping::ChipPlan &candidate,
-                       double rate) {
-        return mapping::lowerPipeline(ddcStages(p, *x), candidate,
-                                      rate, p.slack);
-    };
-    app.tick_limit = [p](const mapping::ChipPlan &,
-                         const mapping::PipelineProgram &prog) {
-        return ddcTickLimit(p, prog);
-    };
-    app.verify = [p, golden](arch::Chip &chip,
-                             const mapping::PipelineProgram &prog) {
-        return describeMismatch(
-            "ddc demod output",
-            readDdcOutput(chip, prog, p.samples / Decim), *golden);
-    };
-    return app;
-}
-
-static mapping::LoweredArtifact
-verifiableDdcImpl(const DdcPipelineParams &p)
-{
-    std::vector<int16_t> x = ddcInput(p);
-    auto plan = planDdc(p);
-    if (!plan)
-        fatal("ddc: no feasible mapping at %.1f MS/s",
-              p.sample_rate_hz / 1e6);
-
-    mapping::LoweredArtifact art;
-    art.name = "ddc";
-    art.spec = mapping::linearDagSpec(ddcStages(p, x));
-    art.plan = *plan;
-    art.iterations_per_sec = p.sample_rate_hz / Decim;
-    art.slack = p.slack;
-    art.prog = mapping::lowerPipeline(ddcStages(p, x), art.plan,
-                                      art.iterations_per_sec,
-                                      art.slack);
-    return art;
-}
-
-static sim::FleetWorkload
-fleetDdcImpl(const DdcPipelineParams &p)
-{
-    auto base_plan = planDdc(p);
-    if (!base_plan)
-        fatal("ddc: no feasible mapping at %.1f MS/s",
-              p.sample_rate_hz / 1e6);
-    auto plan =
-        std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
-
-    // The canonical program, lowered (and verified) once: the
-    // lowering depends only on the app parameters (its images are
-    // replaced per item), so one program serves the template build
-    // and every stream and item.
-    auto prog = std::make_shared<mapping::PipelineProgram>(
-        mapping::lowerPipeline(ddcStages(p, ddcInput(p)), *plan,
-                               p.sample_rate_hz / Decim, p.slack));
-
-    sim::FleetWorkload wl;
-    wl.name = "ddc";
-    wl.tick_limit = ddcTickLimit(p, *prog);
-    wl.build = [plan, prog](SchedulerKind kind) {
-        return buildFleetChip(*plan, *prog, kind);
-    };
-    wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
-        DdcPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        refeedImages(
-            chip, *prog,
-            mapping::linearDagSpec(ddcStages(q, ddcInput(q))));
-    };
-    wl.read_output = [p, prog](arch::Chip &chip) {
-        return bytesOfHalves(
-            readDdcOutput(chip, *prog, p.samples / Decim));
-    };
-    wl.golden = [p](uint64_t item) {
-        DdcPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        return bytesOfHalves(ddcGolden(q, ddcInput(q)));
-    };
-    return wl;
-}
-
-static power::DvfsAppHooks
-dvfsDdcImpl(const DdcPipelineParams &p)
-{
-    power::DvfsAppHooks h;
-    h.name = "ddc";
-    h.artifact = verifiableDdcImpl(p);
-    h.workload = fleetDdcImpl(p);
-    h.traffic = sim::TrafficSpec::bursty(p.seed);
-    // One work item = one p.samples-long channel block; the lowering
-    // paces one SDF iteration per Decim input samples.
-    h.iterations_per_item = p.samples / Decim;
-    return h;
-}
-
-void
-detail::registerDdcApp(AppRegistry &reg)
-{
-    AppDescriptor desc;
-    desc.name = "ddc";
-    desc.make_params = [](const AppTuning &t) {
-        DdcPipelineParams p;
-        if (t.scheduler)
-            p.scheduler = *t.scheduler;
-        if (t.seed)
-            p.seed = *t.seed;
-        return std::any(p);
-    };
-    desc.explorable_hook = appHook("ddc", &explorableDdcImpl);
-    desc.verifiable_hook = appHook("ddc", &verifiableDdcImpl);
-    desc.fleet_hook = appHook("ddc", &fleetDdcImpl);
-    desc.dvfs_hook = appHook("ddc", &dvfsDdcImpl);
-    reg.add(std::move(desc));
-}
-
-// Legacy free functions, reduced to registry wrappers.
-
-mapping::ExplorableApp
-explorableDdc(const DdcPipelineParams &p)
-{
-    return AppRegistry::instance().at("ddc").explorable(p);
-}
-
-mapping::LoweredArtifact
-verifiableDdc(const DdcPipelineParams &p)
-{
-    return AppRegistry::instance().at("ddc").verifiable(p);
-}
-
-sim::FleetWorkload
-fleetDdc(const DdcPipelineParams &p)
-{
-    return AppRegistry::instance().at("ddc").fleet(p);
-}
-
-power::DvfsAppHooks
-dvfsDdc(const DdcPipelineParams &p)
-{
-    return AppRegistry::instance().at("ddc").dvfs(p);
 }
 
 } // namespace synchro::apps

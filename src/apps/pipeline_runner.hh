@@ -27,11 +27,7 @@
 #include <optional>
 #include <vector>
 
-#include "apps/app_harness.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
+#include "apps/app_registry.hh"
 
 namespace synchro::apps
 {
@@ -91,53 +87,26 @@ std::optional<mapping::ChipPlan> planDdc(const DdcPipelineParams &p);
 
 /**
  * The kernel stages ready for mapping::lowerPipeline (exposed for
- * tests that want to lower onto hand-built plans).
+ * tests that want to lower onto hand-built plans); the spec lowers
+ * their linearDagSpec().
  */
 std::vector<mapping::PipelineStage> ddcStages(
     const DdcPipelineParams &p, const std::vector<int16_t> &x);
+
+/**
+ * The receiver as one MappedAppSpec: input = ddcInput() samples,
+ * output = the demod column's halfwords. AppRegistry's "ddc" entry
+ * and every generic view (app_registry.hh) derive from it.
+ */
+using DdcSpec =
+    MappedAppSpec<DdcPipelineParams, std::vector<int16_t>, int16_t>;
+const DdcSpec &ddcSpec();
 
 /**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not halt.
  */
 MappedDdcRun runMappedDdc(const DdcPipelineParams &p);
-
-/*
- * The capability hooks below are legacy wrappers: the receiver
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("ddc")'s views.
- */
-
-/**
- * Package the receiver for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan. fatal() if no feasible baseline mapping exists.
- */
-mapping::ExplorableApp explorableDdc(const DdcPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedDdc() runs.
- */
-mapping::LoweredArtifact verifiableDdc(const DdcPipelineParams &p);
-
-/**
- * Package the receiver for sim::FleetExecutor — the per-work-item
- * hook set: one cold build (plan + lowering + load), then a
- * restart/refeed per item with input data seeded by
- * sim::fleetItemSeed(p.seed, item). Each item is one p.samples-long
- * channel block; outputs and goldens travel as raw halfword bytes.
- * fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetDdc(const DdcPipelineParams &p);
-
-/**
- * Package the receiver for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsDdc(const DdcPipelineParams &p);
 
 } // namespace synchro::apps
 

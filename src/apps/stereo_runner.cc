@@ -1,8 +1,5 @@
 #include "apps/stereo_runner.hh"
 
-#include <memory>
-
-#include "apps/app_registry.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "dsp/stereo.hh"
@@ -316,29 +313,6 @@ selectStage()
     return s;
 }
 
-/**
- * Tick budget for one run: generous — the delivery grid paces
- * RowWords tokens per row lane per slot_spacing ticks, H rows, plus
- * fill and drain.
- */
-Tick
-stereoTickLimit(const mapping::PipelineProgram &prog)
-{
-    return Tick(H) * RowWords * prog.slot_spacing * 4 + 1'000'000;
-}
-
-/** The per-block disparity map, read back from a finished chip. */
-std::vector<uint8_t>
-readStereoOutput(arch::Chip &chip,
-                 const mapping::PipelineProgram &prog)
-{
-    const auto &sel_col = prog.columnFor("select");
-    arch::Tile &tile = chip.column(sel_col.column).tile(0);
-    std::vector<uint8_t> out(StereoBlocks);
-    tile.readMem(SelOut, out.data(), StereoBlocks);
-    return out;
-}
-
 } // namespace
 
 void
@@ -456,41 +430,71 @@ stereoDag(const StereoPipelineParams &p, const dsp::Image &left,
     return spec;
 }
 
+const StereoSpec &
+stereoSpec()
+{
+    static const StereoSpec spec = [] {
+        StereoSpec s;
+        s.name = "stereo";
+        s.input = [](const StereoPipelineParams &p) {
+            StereoInput in;
+            stereoScene(p, in.left, in.right, &in.truth);
+            return in;
+        };
+        s.golden = [](const StereoPipelineParams &,
+                      const StereoInput &in) {
+            return dsp::stereoBlockDisparities(in.left, in.right, B, D);
+        };
+        s.plan = &planStereo;
+        s.dag = [](const StereoPipelineParams &p, const StereoInput &in,
+                   const mapping::ChipPlan &) {
+            return stereoDag(p, in.left, in.right);
+        };
+        // The lowering paces one SDF iteration per frame pair.
+        s.rate = [](const StereoPipelineParams &p) {
+            return p.frame_rate_hz;
+        };
+        // Generous: the delivery grid paces RowWords tokens per row
+        // lane per slot_spacing ticks, H rows, plus fill and drain.
+        s.tick_limit = [](const StereoPipelineParams &,
+                          const mapping::ChipPlan &,
+                          const mapping::PipelineProgram &prog) {
+            return Tick(H) * RowWords * prog.slot_spacing * 4 +
+                   1'000'000;
+        };
+        s.read_output = [](const StereoPipelineParams &,
+                           arch::Chip &chip,
+                           const mapping::PipelineProgram &prog) {
+            std::vector<uint8_t> out(StereoBlocks);
+            chip.column(prog.columnFor("select").column)
+                .tile(0)
+                .readMem(SelOut, out.data(), StereoBlocks);
+            return out;
+        };
+        s.priced_items = [](const StereoPipelineParams &) {
+            return uint64_t(StereoBlocks);
+        };
+        // One work item is one frame pair.
+        s.iterations_per_item = [](const StereoPipelineParams &) {
+            return uint64_t(1);
+        };
+        return s;
+    }();
+    return spec;
+}
+
 MappedStereoRun
 runMappedStereo(const StereoPipelineParams &p)
 {
-    checkParams(p);
+    auto core = runSpec(stereoSpec(), p);
     MappedStereoRun run;
-    dsp::Image left(W, H), right(W, H);
-    std::vector<uint8_t> truth;
-    stereoScene(p, left, right, &truth);
-    run.golden = dsp::stereoBlockDisparities(left, right, B, D);
-
-    auto plan = planStereo(p);
-    if (!plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-
-    auto prog = mapping::lowerDag(stereoDag(p, left, right), *plan,
-                                  p.frame_rate_hz, p.slack);
-
-    MappedAppParams hp;
-    hp.app = "stereo";
-    hp.scheduler = p.scheduler;
-    hp.tick_limit = stereoTickLimit(prog);
-    hp.priced_items = StereoBlocks;
-    MappedApp app(hp, *plan, prog);
-    static_cast<MappedAppRun &>(run) = app.run();
+    static_cast<MappedAppRun &>(run) = std::move(core);
+    run.output = std::move(core.output);
+    run.golden = std::move(core.golden);
+    run.bit_exact = core.bit_exact;
     run.achieved_block_rate_hz = run.achieved_items_per_sec;
 
-    run.output = readStereoOutput(app.chip(), prog);
-    run.bit_exact = run.output == run.golden;
-    if (!run.bit_exact)
-        warn("%s",
-             describeMismatch("stereo disparity map", run.output,
-                              run.golden)
-                 .c_str());
-
+    const std::vector<uint8_t> &truth = core.input.truth;
     unsigned scored = 0, hits = 0;
     for (unsigned b = 0; b < StereoBlocks; ++b) {
         if (truth[b] == 255)
@@ -500,174 +504,6 @@ runMappedStereo(const StereoPipelineParams &p)
     }
     run.truth_hit_rate = scored ? double(hits) / scored : 0.0;
     return run;
-}
-
-static mapping::ExplorableApp
-explorableStereoImpl(const StereoPipelineParams &p)
-{
-    checkParams(p);
-    auto left = std::make_shared<dsp::Image>(W, H);
-    auto right = std::make_shared<dsp::Image>(W, H);
-    stereoScene(p, *left, *right);
-    auto golden = std::make_shared<std::vector<uint8_t>>(
-        dsp::stereoBlockDisparities(*left, *right, B, D));
-    auto plan = planStereo(p);
-    if (!plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-
-    mapping::ExplorableApp app;
-    app.name = "stereo";
-    app.iterations_per_sec = p.frame_rate_hz;
-    app.priced_items = StereoBlocks;
-    app.baseline = *plan;
-    app.lower = [p, left, right](const mapping::ChipPlan &candidate,
-                                 double rate) {
-        return mapping::lowerDag(stereoDag(p, *left, *right),
-                                 candidate, rate, p.slack);
-    };
-    app.tick_limit = [](const mapping::ChipPlan &,
-                        const mapping::PipelineProgram &prog) {
-        return stereoTickLimit(prog);
-    };
-    app.verify = [golden](arch::Chip &chip,
-                          const mapping::PipelineProgram &prog) {
-        return describeMismatch("stereo disparity map",
-                                readStereoOutput(chip, prog),
-                                *golden);
-    };
-    return app;
-}
-
-static mapping::LoweredArtifact
-verifiableStereoImpl(const StereoPipelineParams &p)
-{
-    checkParams(p);
-    dsp::Image left(W, H), right(W, H);
-    stereoScene(p, left, right);
-    auto plan = planStereo(p);
-    if (!plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-
-    mapping::LoweredArtifact art;
-    art.name = "stereo";
-    art.spec = stereoDag(p, left, right);
-    art.plan = *plan;
-    art.iterations_per_sec = p.frame_rate_hz;
-    art.slack = p.slack;
-    art.prog = mapping::lowerDag(art.spec, art.plan,
-                                 art.iterations_per_sec, art.slack);
-    return art;
-}
-
-static sim::FleetWorkload
-fleetStereoImpl(const StereoPipelineParams &p)
-{
-    checkParams(p);
-    auto base_plan = planStereo(p);
-    if (!base_plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-    auto plan =
-        std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
-
-    // The canonical program, lowered (and verified) once: the
-    // lowering depends only on the app parameters (its images are
-    // replaced per item), so one program serves the template build
-    // and every stream and item.
-    auto canon = [&] {
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(p, left, right);
-        return mapping::lowerDag(stereoDag(p, left, right), *plan,
-                                 p.frame_rate_hz, p.slack);
-    };
-    auto prog =
-        std::make_shared<mapping::PipelineProgram>(canon());
-
-    sim::FleetWorkload wl;
-    wl.name = "stereo";
-    wl.tick_limit = stereoTickLimit(*prog);
-    wl.build = [plan, prog](SchedulerKind kind) {
-        return buildFleetChip(*plan, *prog, kind);
-    };
-    wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
-        StereoPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(q, left, right);
-        refeedImages(chip, *prog, stereoDag(q, left, right));
-    };
-    wl.read_output = [prog](arch::Chip &chip) {
-        return readStereoOutput(chip, *prog);
-    };
-    wl.golden = [p](uint64_t item) {
-        StereoPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(q, left, right);
-        return dsp::stereoBlockDisparities(left, right, B, D);
-    };
-    return wl;
-}
-
-static power::DvfsAppHooks
-dvfsStereoImpl(const StereoPipelineParams &p)
-{
-    power::DvfsAppHooks h;
-    h.name = "stereo";
-    h.artifact = verifiableStereoImpl(p);
-    h.workload = fleetStereoImpl(p);
-    h.traffic = sim::TrafficSpec::bursty(p.seed);
-    // One SDF iteration correlates one whole frame pair, and one
-    // item is one frame pair.
-    h.iterations_per_item = 1;
-    return h;
-}
-
-void
-detail::registerStereoApp(AppRegistry &reg)
-{
-    AppDescriptor desc;
-    desc.name = "stereo";
-    desc.make_params = [](const AppTuning &t) {
-        StereoPipelineParams p;
-        if (t.scheduler)
-            p.scheduler = *t.scheduler;
-        if (t.seed)
-            p.seed = *t.seed;
-        return std::any(p);
-    };
-    desc.explorable_hook = appHook("stereo", &explorableStereoImpl);
-    desc.verifiable_hook = appHook("stereo", &verifiableStereoImpl);
-    desc.fleet_hook = appHook("stereo", &fleetStereoImpl);
-    desc.dvfs_hook = appHook("stereo", &dvfsStereoImpl);
-    reg.add(std::move(desc));
-}
-
-// Legacy free functions, reduced to registry wrappers.
-mapping::ExplorableApp
-explorableStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").explorable(p);
-}
-
-mapping::LoweredArtifact
-verifiableStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").verifiable(p);
-}
-
-sim::FleetWorkload
-fleetStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").fleet(p);
-}
-
-power::DvfsAppHooks
-dvfsStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").dvfs(p);
 }
 
 } // namespace synchro::apps

@@ -48,12 +48,8 @@
 #include <optional>
 #include <vector>
 
-#include "apps/app_harness.hh"
+#include "apps/app_registry.hh"
 #include "dsp/image.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
 
 namespace synchro::apps
 {
@@ -136,48 +132,28 @@ mapping::DagSpec stereoDag(const StereoPipelineParams &p,
                            const dsp::Image &left,
                            const dsp::Image &right);
 
+/** The scene: the stereo pair and its truth map (stereoScene). */
+struct StereoInput
+{
+    dsp::Image left{StereoWidth, StereoHeight};
+    dsp::Image right{StereoWidth, StereoHeight};
+    std::vector<uint8_t> truth;
+};
+
+/**
+ * The workload as one MappedAppSpec: output = the per-block
+ * disparity map. AppRegistry's "stereo" entry and every generic view
+ * (app_registry.hh) derive from it.
+ */
+using StereoSpec =
+    MappedAppSpec<StereoPipelineParams, StereoInput, uint8_t>;
+const StereoSpec &stereoSpec();
+
 /**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not drain.
  */
 MappedStereoRun runMappedStereo(const StereoPipelineParams &p);
-
-/*
- * The capability hooks below are legacy wrappers: the pipeline
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("stereo")'s views.
- */
-
-/**
- * Package the pipeline for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan. fatal() if no feasible baseline mapping exists.
- */
-mapping::ExplorableApp explorableStereo(const StereoPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedStereo() runs.
- */
-mapping::LoweredArtifact
-verifiableStereo(const StereoPipelineParams &p);
-
-/**
- * Package the pipeline for sim::FleetExecutor — the per-work-item
- * hook set: one cold build, then a restart/refeed per item with a
- * scene seeded by sim::fleetItemSeed(p.seed, item). Each item is one
- * stereo frame pair; outputs and goldens are the per-block disparity
- * bytes. fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetStereo(const StereoPipelineParams &p);
-
-/**
- * Package the pipeline for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsStereo(const StereoPipelineParams &p);
 
 } // namespace synchro::apps
 

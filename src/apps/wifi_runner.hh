@@ -47,12 +47,8 @@
 #include <optional>
 #include <vector>
 
-#include "apps/app_harness.hh"
+#include "apps/app_registry.hh"
 #include "common/fixed.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
 
 namespace synchro::apps
 {
@@ -148,47 +144,26 @@ std::optional<mapping::ChipPlan> planWifi(const WifiPipelineParams &p);
 mapping::DagSpec wifiDag(const WifiPipelineParams &p,
                          const std::vector<CplxQ15> &carriers);
 
+/** The receiver's input: the payload and its received carriers. */
+struct WifiInput
+{
+    std::vector<uint8_t> bits;     //!< wifiPayload()
+    std::vector<CplxQ15> carriers; //!< wifiCarriers(bits)
+};
+
+/**
+ * The receiver as one MappedAppSpec: output = the decoded payload
+ * bits, one per byte. AppRegistry's "wifi" entry and every generic
+ * view (app_registry.hh) derive from it.
+ */
+using WifiSpec = MappedAppSpec<WifiPipelineParams, WifiInput, uint8_t>;
+const WifiSpec &wifiSpec();
+
 /**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not drain.
  */
 MappedWifiRun runMappedWifi(const WifiPipelineParams &p);
-
-/*
- * The capability hooks below are legacy wrappers: the receiver
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("wifi")'s views.
- */
-
-/**
- * Package the receiver for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan. fatal() if no feasible baseline mapping exists.
- */
-mapping::ExplorableApp explorableWifi(const WifiPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedWifi() runs.
- */
-mapping::LoweredArtifact verifiableWifi(const WifiPipelineParams &p);
-
-/**
- * Package the receiver for sim::FleetExecutor — the per-work-item
- * hook set: one cold build, then a restart/refeed per item with a
- * payload seeded by sim::fleetItemSeed(p.seed, item). Each item is
- * one p.symbols-long burst; outputs and goldens are the decoded
- * bit bytes. fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetWifi(const WifiPipelineParams &p);
-
-/**
- * Package the receiver for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsWifi(const WifiPipelineParams &p);
 
 } // namespace synchro::apps
 

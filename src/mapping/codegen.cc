@@ -111,10 +111,9 @@ gateLowered(const DagSpec &spec, const ChipPlan &plan,
               rep.errorSummary().c_str());
 }
 
-/** lowerDag() minus the verifier gate (shared with lowerPipeline). */
-static PipelineProgram
-lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
-             double iterations_per_sec, double slack)
+PipelineProgram
+lowerDag(const DagSpec &spec, const ChipPlan &plan,
+         double iterations_per_sec, double slack)
 {
     const std::vector<DagStage> &stages = spec.stages;
     if (stages.size() < 2)
@@ -233,7 +232,7 @@ lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
     out.period = slots.period;
     out.slot_spacing = slots.period;
     out.lanes = slots.lane;
-    out.self_timed = true;
+    out.self_timed = spec.self_timed;
 
     // Lookahead horizon for the Compiled window walk: the
     // shortest run of delivery-free bus cycles between consecutive
@@ -315,15 +314,6 @@ lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
                       out.columns[a].column);
         }
     }
-    return out;
-}
-
-PipelineProgram
-lowerDag(const DagSpec &spec, const ChipPlan &plan,
-         double iterations_per_sec, double slack)
-{
-    PipelineProgram out =
-        lowerDagImpl(spec, plan, iterations_per_sec, slack);
     gateLowered(spec, plan, out, iterations_per_sec, slack);
     return out;
 }
@@ -331,7 +321,20 @@ lowerDag(const DagSpec &spec, const ChipPlan &plan,
 DagSpec
 linearDagSpec(const std::vector<PipelineStage> &stages)
 {
+    if (stages.size() < 2)
+        fatal("codegen: a pipeline needs at least two stages");
+    if (stages.front().reads_per_firing != 0)
+        fatal("codegen: source stage '%s' cannot read upstream",
+              stages.front().actor.c_str());
+    if (stages.back().writes_per_firing != 0)
+        fatal("codegen: sink stage '%s' cannot write downstream",
+              stages.back().actor.c_str());
+
     DagSpec spec;
+    // Linear chains keep the legacy drop-new bus: bodies use
+    // untagged crd/cwr and every column has at most one edge per
+    // direction, so slot-order binding is already unambiguous.
+    spec.self_timed = false;
     for (const auto &s : stages) {
         DagStage d;
         d.actor = s.actor;
@@ -358,26 +361,7 @@ lowerPipeline(const std::vector<PipelineStage> &stages,
               const ChipPlan &plan, double iterations_per_sec,
               double slack)
 {
-    if (stages.size() < 2)
-        fatal("codegen: a pipeline needs at least two stages");
-    if (stages.front().reads_per_firing != 0)
-        fatal("codegen: source stage '%s' cannot read upstream",
-              stages.front().actor.c_str());
-    if (stages.back().writes_per_firing != 0)
-        fatal("codegen: sink stage '%s' cannot write downstream",
-              stages.back().actor.c_str());
-
-    const DagSpec spec = linearDagSpec(stages);
-    PipelineProgram out =
-        lowerDagImpl(spec, plan, iterations_per_sec, slack);
-    // Linear chains keep the legacy drop-new bus: bodies use
-    // untagged crd/cwr and every column has at most one edge per
-    // direction, so slot-order binding is already unambiguous.
-    out.self_timed = false;
-    // Gate the FINAL artifact — legacy bus semantics change what the
-    // "tokens" check must prove, so verify after the flip.
-    gateLowered(spec, plan, out, iterations_per_sec, slack);
-    return out;
+    return lowerDag(linearDagSpec(stages), plan, iterations_per_sec, slack);
 }
 
 } // namespace synchro::mapping

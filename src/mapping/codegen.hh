@@ -12,8 +12,8 @@
  *    (one producer feeding several consumer columns on separate bus
  *    lanes), multi-input join actors, and per-edge multi-rate token
  *    counts.
- *  - lowerPipeline() is the linear-chain convenience wrapper the DDC
- *    receiver uses; it builds the equivalent two-terminal DAG.
+ *  - lowerPipeline() is lowerDag() of linearDagSpec(): the
+ *    two-terminal DAG of a linear chain, on the legacy bus.
  *
  * Each stage carries a hand-scheduled SyncBF kernel body for one
  * actor firing (with its `crd`/`cwr` communication inlined, like the
@@ -125,6 +125,14 @@ struct DagSpec
 {
     std::vector<DagStage> stages;
     std::vector<DagEdgeSpec> edges;
+
+    /**
+     * Bus mode the lowered program runs on (copied into
+     * PipelineProgram::self_timed): self-timed for lane-tagged DAG
+     * kernels; only linearDagSpec() selects the legacy drop-new bus
+     * its untagged crd/cwr chains were written for.
+     */
+    bool self_timed = true;
 };
 
 /** Everything one column needs to run its piece of the pipeline. */
@@ -239,23 +247,18 @@ struct PipelineStage
 };
 
 /**
- * The two-terminal DAG equivalent to the linear chain @p stages —
- * the spec lowerPipeline() lowers, exposed so verification hooks can
- * re-derive the exact (spec, plan, program) triple of a linear
- * lowering without duplicating the edge construction.
+ * The two-terminal DAG equivalent to the linear chain @p stages (in
+ * dataflow order), on the legacy (drop-new) bus its untagged
+ * crd/cwr bodies are written for — the spec lowerPipeline() lowers.
+ *
+ * fatal() on fewer than two stages, a source stage that reads, or a
+ * sink stage that writes.
  */
 DagSpec linearDagSpec(const std::vector<PipelineStage> &stages);
 
 /**
- * Lower @p stages (a linear chain, in dataflow order) onto the
- * columns @p plan assigned them — the two-terminal special case of
- * lowerDag(), kept on the legacy (drop-new) bus semantics so the
- * mapped DDC receiver behaves exactly as before. The verifier gate
- * runs on the final legacy-bus artifact.
- *
- * fatal() on everything lowerDag() rejects, plus: a source stage
- * that reads, a sink stage that writes, or an interior edge carrying
- * no data.
+ * lowerDag(linearDagSpec(@p stages), ...): fatal() on everything
+ * either rejects (an interior edge carrying no data among them).
  */
 PipelineProgram lowerPipeline(const std::vector<PipelineStage> &stages,
                               const ChipPlan &plan,

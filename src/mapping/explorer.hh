@@ -25,8 +25,8 @@
  *    (e.g. the motion-estimation search farm).
  *
  * An application opts in by packaging itself as an ExplorableApp —
- * the plan-variant hook each apps/ runner exposes (explorableDdc,
- * explorableWifi, explorableStereo, explorableMotion).
+ * the plan-variant hook apps::explorableView derives from each app's
+ * MappedAppSpec.
  */
 
 #ifndef SYNC_MAPPING_EXPLORER_HH

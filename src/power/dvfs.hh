@@ -65,8 +65,9 @@ namespace synchro::power
  * artifact (the safe-transition table's ground truth), the fleet
  * workload hooks (build / feed / read_output / golden), the app's
  * canonical traffic shape, and the item <-> SDF-iteration exchange
- * rate every window computation needs. Exposed per app through
- * apps::AppRegistry::dvfs().
+ * rate every window computation needs. apps::dvfsView derives it
+ * from an app's MappedAppSpec, artifact and workload from one
+ * lowering (AppDescriptor::dvfs()).
  */
 struct DvfsAppHooks
 {

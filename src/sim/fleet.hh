@@ -11,8 +11,8 @@
  * draining. FleetExecutor serves that shape:
  *
  *  - a *workload* packages an app's plan/program hooks once
- *    (FleetWorkload; apps/ provides fleetDdc / fleetWifi /
- *    fleetStereo / fleetMotion mirroring the explorableX pattern),
+ *    (FleetWorkload; apps::fleetView derives one from each app's
+ *    MappedAppSpec, served as AppRegistry's fleet() view),
  *  - a *stream* is one user: one chip, fed a sequence of work items.
  *    Its chip is NOT rebuilt per stream — the workload's template
  *    chip (built, programmed and verifier-gated exactly once) is

@@ -16,11 +16,10 @@
  * — owned or merely borrowed — mix freely, each with its own
  * configuration, programs, optional per-chip tick budget and
  * optional scheduler-backend override. All of that goes through ONE
- * admission path, admit(ChipSpec&&); the historical addChip /
- * adoptChip / attachChip names survive as thin wrappers over it.
- * This is the substrate the mapped design-space explorer
- * (mapping/explorer.hh) batches candidate plans on and the fleet
- * executor (sim/fleet.hh) builds its streaming layer over.
+ * admission path, admit(ChipSpec&&). This is the substrate the
+ * mapped design-space explorer (mapping/explorer.hh) batches
+ * candidate plans on and the fleet executor (sim/fleet.hh) builds
+ * its streaming layer over.
  *
  * Typical use:
  *
@@ -153,24 +152,6 @@ class SimSession
      * Not thread-safe vs runAll().
      */
     unsigned admit(ChipSpec &&spec);
-
-    /** admit(ChipSpec(cfg)) — compatibility wrapper. */
-    unsigned addChip(const arch::ChipConfig &cfg);
-
-    /** admit(ChipSpec(move(chip)).tickLimit(t)) — wrapper. */
-    unsigned adoptChip(std::unique_ptr<arch::Chip> chip,
-                       Tick tick_limit = 0);
-
-    /** Adopt with a backend override — wrapper. */
-    unsigned adoptChip(std::unique_ptr<arch::Chip> chip,
-                       Tick tick_limit, SchedulerKind scheduler);
-
-    /** admit(ChipSpec(chip).tickLimit(t)) — wrapper. */
-    unsigned attachChip(arch::Chip &chip, Tick tick_limit = 0);
-
-    /** Borrow with a backend override — wrapper. */
-    unsigned attachChip(arch::Chip &chip, Tick tick_limit,
-                        SchedulerKind scheduler);
 
     /** Per-chip tick budget override (0 = use runAll()'s budget). */
     void setTickLimit(unsigned i, Tick tick_limit);

@@ -1,12 +1,14 @@
 /** @file The shared mapped-app harness: reject paths (empty graphs,
  * unset run budgets), golden-mismatch reporting, and a regression
- * pin that the refactored DDC/wifi runners still produce exactly the
- * pre-refactor cycle traces. */
+ * pin that the refactored runners of all four apps still produce
+ * exactly the pre-refactor cycle traces. */
 
 #include <gtest/gtest.h>
 
 #include "apps/app_harness.hh"
+#include "apps/motion_runner.hh"
 #include "apps/pipeline_runner.hh"
+#include "apps/stereo_runner.hh"
 #include "apps/wifi_runner.hh"
 #include "common/log.hh"
 
@@ -71,12 +73,14 @@ TEST(AppHarness, DescribesGoldenMismatches)
 }
 
 /**
- * The harness refactor must be a pure extraction: the mapped DDC and
- * 802.11a runs are deterministic, so their final tick counts and bus
- * transfer totals must equal the values the pre-refactor runners
- * produced (captured from the PR 3 tree at these exact parameters).
- * A change here means the rebuilt runners are NOT behaviorally
- * identical — investigate before touching these constants.
+ * Runner refactors must be pure extractions: the mapped runs are
+ * deterministic, so their final tick counts and bus transfer totals
+ * must equal the values the pre-refactor runners produced at these
+ * exact parameters (DDC and 802.11a captured before the shared
+ * harness, stereo and motion at their defaults before the spec-driven
+ * runners). A change here means the rebuilt runners are NOT
+ * behaviorally identical — investigate before touching these
+ * constants.
  */
 TEST(AppHarness, RefactoredRunnersKeepPreRefactorTraces)
 {
@@ -93,4 +97,14 @@ TEST(AppHarness, RefactoredRunnersKeepPreRefactorTraces)
     EXPECT_TRUE(wifi.bit_exact);
     EXPECT_EQ(wifi.ticks, 462960u);
     EXPECT_EQ(wifi.bus_transfers, 1536u);
+
+    MappedStereoRun stereo = runMappedStereo(StereoPipelineParams{});
+    EXPECT_TRUE(stereo.bit_exact);
+    EXPECT_EQ(stereo.ticks, 287045u);
+    EXPECT_EQ(stereo.bus_transfers, 4736u);
+
+    MappedMotionRun motion = runMappedMotion(MotionPipelineParams{});
+    EXPECT_TRUE(motion.bit_exact);
+    EXPECT_EQ(motion.ticks, 135983u);
+    EXPECT_EQ(motion.bus_transfers, 12u);
 }

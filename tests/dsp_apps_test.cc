@@ -1,5 +1,5 @@
 /** @file Application-kernel tests: Viterbi, OFDM end-to-end, DCT,
- * motion estimation, SVD, Tomasi-Kanade, stereo correlation, AES. */
+ * motion estimation, SVD, Tomasi-Kanade, stereo correlation. */
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "dsp/aes.hh"
 #include "dsp/dct.hh"
 #include "dsp/motion.hh"
 #include "dsp/ofdm.hh"
@@ -572,58 +571,3 @@ TEST(Stereo, EmptyInputsGiveNoMatches)
     EXPECT_TRUE(svdCorrelate(one, none).empty());
 }
 
-// ---------------------------------------------------------------
-// AES
-
-TEST(Aes, Fips197KnownAnswer)
-{
-    // FIPS-197 Appendix B.
-    AesKey key{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab,
-               0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
-    AesBlock plain{0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d,
-                   0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37, 0x07, 0x34};
-    AesBlock expected{0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb,
-                      0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a, 0x0b, 0x32};
-    Aes128 aes(key);
-    EXPECT_EQ(aes.encrypt(plain), expected);
-    EXPECT_EQ(aes.decrypt(expected), plain);
-}
-
-TEST(Aes, EncryptDecryptRandomRoundTrip)
-{
-    Rng rng(88);
-    AesKey key{};
-    for (auto &b : key)
-        b = uint8_t(rng.below(256));
-    Aes128 aes(key);
-    for (int trial = 0; trial < 20; ++trial) {
-        AesBlock p{};
-        for (auto &b : p)
-            b = uint8_t(rng.below(256));
-        EXPECT_EQ(aes.decrypt(aes.encrypt(p)), p);
-    }
-}
-
-TEST(Aes, CbcMacDetectsTampering)
-{
-    Rng rng(3);
-    AesKey key{};
-    for (auto &b : key)
-        b = uint8_t(rng.below(256));
-    Aes128 aes(key);
-    std::vector<uint8_t> msg(100);
-    for (auto &b : msg)
-        b = uint8_t(rng.below(256));
-    AesBlock mac = aes.cbcMac(msg);
-    msg[37] ^= 0x10;
-    EXPECT_NE(aes.cbcMac(msg), mac);
-}
-
-TEST(Aes, CbcMacDeterministic)
-{
-    AesKey key{};
-    Aes128 aes(key);
-    std::vector<uint8_t> msg{1, 2, 3};
-    EXPECT_EQ(aes.cbcMac(msg), aes.cbcMac(msg));
-    EXPECT_NE(aes.cbcMac({1, 2, 3}), aes.cbcMac({1, 2, 4}));
-}

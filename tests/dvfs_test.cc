@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -13,7 +12,11 @@
 #include <vector>
 
 #include "apps/app_registry.hh"
+#include "apps/motion_runner.hh"
 #include "apps/pipeline_runner.hh"
+#include "apps/stereo_runner.hh"
+#include "apps/wifi_runner.hh"
+#include "common/log.hh"
 #include "power/dvfs.hh"
 #include "sim/fleet.hh"
 #include "sim/traffic.hh"
@@ -24,8 +27,9 @@ using namespace synchro::power;
 namespace
 {
 
+using apps::ddcSpec;
 using apps::DdcPipelineParams;
-using apps::dvfsDdc;
+using apps::dvfsView;
 
 /** The small DDC shape every test here governs. */
 DdcPipelineParams
@@ -51,49 +55,95 @@ runPolicy(const DvfsAppHooks &app, const sim::TrafficScenario &sc,
 } // namespace
 
 // ---------------------------------------------------------------
-// The unified per-app capability registry.
+// The per-app specs and the views the registry derives from them.
 
-TEST(AppRegistry, AllFourAppsExposeEveryCapability)
+namespace
+{
+
+/**
+ * Every view of @p spec agrees with the app's cold run: (i) for items
+ * 0 and 1 the fleet view serves golden(k), which is also the output
+ * of a cold runMappedX (@p cold) at seed fleetItemSeed(p.seed, k);
+ * (ii) the dvfs view's workload serves its artifact's own program.
+ */
+template <typename P, typename I, typename O, typename Cold>
+void
+checkSpecViews(const apps::MappedAppSpec<P, I, O> &spec, const P &p,
+               Cold cold)
+{
+    SCOPED_TRACE(spec.name);
+    const apps::AppDescriptor &d =
+        apps::AppRegistry::instance().at(spec.name);
+
+    const sim::FleetWorkload wl = d.fleet(p);
+    for (uint64_t k = 0; k < 2; ++k) {
+        auto chip = wl.build(p.scheduler);
+        wl.feed(*chip, k);
+        ASSERT_EQ(int(chip->run(wl.tick_limit).exit),
+                  int(arch::RunExit::AllHalted));
+        P q = p;
+        q.seed = sim::fleetItemSeed(p.seed, k);
+        const std::vector<uint8_t> golden = wl.golden(k);
+        EXPECT_EQ(wl.read_output(*chip), golden) << "item " << k;
+        EXPECT_EQ(cold(q), golden) << "item " << k;
+    }
+
+    const DvfsAppHooks h = d.dvfs(p);
+    EXPECT_EQ(h.name, spec.name);
+    EXPECT_EQ(h.iterations_per_item, spec.iterations_per_item(p));
+    EXPECT_FALSE(h.traffic.phases.empty());
+    EXPECT_EQ(h.workload.tick_limit,
+              spec.tick_limit(p, h.artifact.plan, h.artifact.prog));
+    auto served = h.workload.build(p.scheduler);
+    auto own = apps::buildFleetChip(h.artifact.plan, h.artifact.prog,
+                                    p.scheduler);
+    const arch::RunResult rs = served->run(h.workload.tick_limit);
+    const arch::RunResult ro = own->run(h.workload.tick_limit);
+    ASSERT_EQ(int(rs.exit), int(arch::RunExit::AllHalted));
+    EXPECT_EQ(rs.ticks, ro.ticks);
+    EXPECT_EQ(h.workload.read_output(*served), h.workload.read_output(*own));
+    EXPECT_EQ(h.workload.read_output(*served), cold(p));
+}
+
+} // namespace
+
+TEST(AppRegistry, EveryAppSpecDerivesConsistentViews)
 {
     const apps::AppRegistry &reg = apps::AppRegistry::instance();
     EXPECT_EQ(reg.names(),
               (std::vector<std::string>{"ddc", "motion", "stereo",
                                         "wifi"}));
-    for (const auto &kv : reg.apps()) {
-        const apps::AppDescriptor &d = kv.second;
-        EXPECT_TRUE(d.explorable_hook) << d.name;
-        EXPECT_TRUE(d.verifiable_hook) << d.name;
-        EXPECT_TRUE(d.fleet_hook) << d.name;
-        EXPECT_TRUE(d.dvfs_hook) << d.name;
-        DvfsAppHooks h = d.dvfs();
-        EXPECT_EQ(h.name, d.name);
-        EXPECT_GT(h.iterations_per_item, 0u) << d.name;
-        EXPECT_FALSE(h.traffic.phases.empty()) << d.name;
+
+    checkSpecViews(ddcSpec(), testParams(),
+                   [](const DdcPipelineParams &q) {
+                       return apps::bytesOfHalves(
+                           apps::runMappedDdc(q).output);
+                   });
+    apps::WifiPipelineParams wp;
+    wp.symbols = 2;
+    checkSpecViews(apps::wifiSpec(), wp,
+                   [](const apps::WifiPipelineParams &q) {
+                       return apps::runMappedWifi(q).output;
+                   });
+    checkSpecViews(apps::stereoSpec(), apps::StereoPipelineParams{},
+                   [](const apps::StereoPipelineParams &q) {
+                       return apps::runMappedStereo(q).output;
+                   });
+    checkSpecViews(apps::motionSpec(), apps::MotionPipelineParams{},
+                   [](const apps::MotionPipelineParams &q) {
+                       return apps::bytesOfWords(
+                           apps::runMappedMotion(q).output_keys);
+                   });
+
+    // (iii) A params struct of another app is fatal, naming the app.
+    try {
+        reg.at("ddc").fleet(wp);
+        FAIL() << "a WifiPipelineParams reached the ddc fleet view";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'ddc'"), std::string::npos)
+            << e.what();
     }
-}
-
-TEST(AppRegistry, TuningFoldsIntoTypedParamsAndLegacyWrappersAgree)
-{
-    const apps::AppDescriptor &ddc =
-        apps::AppRegistry::instance().at("ddc");
-
-    apps::AppTuning tuning;
-    tuning.scheduler = SchedulerKind::EventQueue;
-    tuning.seed = 77;
-    std::any any = ddc.params(tuning);
-    const auto *p = std::any_cast<DdcPipelineParams>(&any);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(int(p->scheduler), int(SchedulerKind::EventQueue));
-    EXPECT_EQ(p->seed, 77u);
-
-    // The legacy free function is a wrapper over the same view.
-    DdcPipelineParams q = testParams();
-    mapping::LoweredArtifact via_fn = apps::verifiableDdc(q);
-    mapping::LoweredArtifact via_reg = ddc.verifiable(q);
-    EXPECT_EQ(via_fn.name, via_reg.name);
-    EXPECT_EQ(via_fn.plan.dividers(), via_reg.plan.dividers());
-    EXPECT_DOUBLE_EQ(via_fn.iterations_per_sec,
-                     via_reg.iterations_per_sec);
+    EXPECT_THROW(reg.at("nope"), FatalError);
 }
 
 // ---------------------------------------------------------------
@@ -123,7 +173,7 @@ TEST(Traffic, ScenarioIsAPureFunctionOfItsSpec)
 
 TEST(SafeTransitionTable, EveryPointCarriesItsOwnStaticProof)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     VfModel vf;
     SupplyLevels levels(vf);
     DvfsGovernorConfig cfg;
@@ -149,7 +199,7 @@ TEST(SafeTransitionTable, EveryPointCarriesItsOwnStaticProof)
 
 TEST(SafeTransitionTable, PlantedUnsafeCandidateFailsItsProof)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     VfModel vf;
     SupplyLevels levels(vf);
     SafeTransitionTable table = SafeTransitionTable::build(
@@ -178,7 +228,7 @@ TEST(SafeTransitionTable, PlantedUnsafeCandidateFailsItsProof)
 
 TEST(DvfsGovernor, UnprovenDividerVectorIsRejectedNotApplied)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     VfModel vf;
     SupplyLevels levels(vf);
     SafeTransitionTable table = SafeTransitionTable::build(
@@ -209,7 +259,7 @@ TEST(DvfsGovernor, UnprovenDividerVectorIsRejectedNotApplied)
 
 TEST(DvfsGovernor, ConvergesToTheOracleOnASteadySlowPhase)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     // A steady trickle at a tenth of the mapped rate: windows are so
     // wide that even the headroom-inflated estimate of the slowest
     // point fits, so the governor must settle exactly where the
@@ -239,7 +289,7 @@ TEST(DvfsGovernor, ConvergesToTheOracleOnASteadySlowPhase)
 
 TEST(DvfsGovernor, BurstyRunIsDeterministicAcrossBackends)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     sim::TrafficScenario sc(sim::TrafficSpec::bursty(2004, 2));
 
     GovernedRunResult ref = runPolicy(app, sc, DvfsPolicy::Governed,
@@ -260,7 +310,7 @@ TEST(DvfsGovernor, BurstyRunIsDeterministicAcrossBackends)
 
 TEST(DvfsGovernor, GovernedBeatsStaticAtEqualOutputOnBurstyTraffic)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     sim::TrafficScenario sc(sim::TrafficSpec::bursty(2004));
 
     GovernedRunResult st = runPolicy(app, sc, DvfsPolicy::Static);
@@ -282,7 +332,7 @@ TEST(DvfsGovernor, GovernedBeatsStaticAtEqualOutputOnBurstyTraffic)
 
 TEST(ActivityEpochs, IdenticalEpochsPriceLikeOneEpoch)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     sim::TrafficScenario sc(sim::TrafficSpec::steady(3, 1.0, 2));
     GovernedRunResult st = runPolicy(app, sc, DvfsPolicy::Static);
     ASSERT_EQ(st.epochs.size(), 1u);
@@ -320,7 +370,7 @@ TEST(ActivityEpochs, IdenticalEpochsPriceLikeOneEpoch)
 
 TEST(ActivityEpochs, MidRunRateStepIsPricedPerEpochNotAggregated)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     // Full-rate burst, then a long slow trickle: the governed run
     // retunes mid-stream, so its activity spans two very different
     // V/f regimes.
@@ -377,7 +427,7 @@ TEST(ActivityEpochs, MidRunRateStepIsPricedPerEpochNotAggregated)
 
 TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
     sim::TrafficSpec traffic = sim::TrafficSpec::bursty(2004, 2);
 
     std::map<uint64_t, size_t> ref_decisions;
