@@ -1,6 +1,7 @@
 /** @file Static plan/program verifier: planted safety violations are
  * each rejected with a specific finding, the four committed app
- * lowerings verify clean on both bus settings, and the explorer
+ * lowerings verify clean on both bus settings (with their exact
+ * reports and safe-transition tables pinned), and the explorer
  * filters provably-broken candidates before simulation. */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "mapping/comm_schedule.hh"
 #include "mapping/explorer.hh"
 #include "mapping/verifier.hh"
+#include "power/dvfs.hh"
+#include "power/vf_model.hh"
 
 using namespace synchro;
 using namespace synchro::mapping;
@@ -167,7 +170,295 @@ expectRejected(Fn &&fn, const std::string &needle)
     }
 }
 
+/** Every registry artifact at default params, in name order. */
+std::vector<LoweredArtifact>
+registryArtifacts()
+{
+    std::vector<LoweredArtifact> artifacts;
+    for (const std::string &name :
+         apps::AppRegistry::instance().names())
+        artifacts.push_back(
+            apps::AppRegistry::instance().at(name).verifiable());
+    return artifacts;
+}
+
+/** The registry artifact named @p name at default params. */
+LoweredArtifact
+registryArtifact(const std::string &name)
+{
+    return apps::AppRegistry::instance().at(name).verifiable();
+}
+
+/** A safe-transition table as short text lines: a header, then per
+ * point its rate scale and dividers followed by its ZORM settings
+ * three to a line. */
+std::vector<std::string>
+tableLines(const std::string &app,
+           const power::SafeTransitionTable &table)
+{
+    std::vector<std::string> out;
+    out.push_back(strprintf("%s: %zu points %zu rejected",
+                            app.c_str(), table.points().size(),
+                            table.rejected()));
+    for (const power::DvfsOperatingPoint &pt : table.points()) {
+        std::string line = strprintf("x%.6f div", pt.rate_scale);
+        for (unsigned d : pt.dividers)
+            line += strprintf(" %u", d);
+        out.push_back(line);
+        for (size_t i = 0; i < pt.zorms.size(); i += 3) {
+            line = " ";
+            for (size_t j = i; j < pt.zorms.size() && j < i + 3; ++j)
+                line += strprintf(" c%u:%u/%u", pt.zorm_columns[j],
+                                  pt.zorms[j].nops,
+                                  pt.zorms[j].period);
+            out.push_back(line);
+        }
+    }
+    return out;
+}
+
 } // namespace
+
+TEST(Verifier, CommittedReportsArePinned)
+{
+    // The exact report text of every committed lowering on both bus
+    // settings, and of the diamond fork/join. The analyses may get
+    // faster; what they find may not change.
+    struct Pinned
+    {
+        const char *name;
+        bool self_timed;
+        const char *render;
+    };
+    const std::vector<Pinned> want = {
+        {"ddc", false,
+         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+)"},
+        {"ddc", true,
+         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+)"},
+        {"motion", true,
+         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+)"},
+        {"motion", false,
+         R"(static verification: PASS (0 errors, 1 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+  [warning] tokens: drop-new overrun freedom not statically provable: some program's issue timing is data-dependent; the runner's fabric asserts cover it dynamically
+)"},
+        {"stereo", true,
+         R"(static verification: PASS (0 errors, 0 warnings, 6 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+  [note] tags: actor 'sad-0': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tags: actor 'sad-1': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tags: actor 'sad-2': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tags: actor 'sad-3': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tokens: deadlock freedom not statically provable: some comm sequence is data-dependent; the runner's drain asserts cover it dynamically
+)"},
+        {"stereo", false,
+         R"(static verification: PASS (0 errors, 1 warnings, 5 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+  [note] tags: actor 'sad-0': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tags: actor 'sad-1': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tags: actor 'sad-2': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [note] tags: actor 'sad-3': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
+  [warning] tokens: drop-new overrun freedom not statically provable: some program's issue timing is data-dependent; the runner's fabric asserts cover it dynamically
+)"},
+        {"wifi", true,
+         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+)"},
+        {"wifi", false,
+         R"(static verification: PASS (0 errors, 1 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+  [warning] tokens: drop-new overrun freedom not statically provable: some program's issue timing is data-dependent; the runner's fabric asserts cover it dynamically
+)"},
+        {"diamond", true,
+         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+)"},
+        {"diamond", false,
+         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+  program: pass
+  slots:   pass
+  tags:    pass
+  tokens:  pass
+  zorm:    pass
+  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
+)"},
+    };
+
+    std::vector<LoweredArtifact> artifacts = registryArtifacts();
+    DagSpec dspec = diamondSpec(50);
+    ChipPlan dplan = diamondPlan();
+    LoweredArtifact diamond;
+    diamond.name = "diamond";
+    diamond.spec = dspec;
+    diamond.plan = dplan;
+    diamond.prog = lowerDag(dspec, dplan, 10e6);
+    diamond.iterations_per_sec = 10e6;
+    diamond.slack = 1.4;
+    artifacts.push_back(diamond);
+
+    size_t checked = 0;
+    for (LoweredArtifact &art : artifacts) {
+        for (int flip = 0; flip < 2; ++flip) {
+            for (const Pinned &p : want) {
+                if (art.name != p.name ||
+                    art.prog.self_timed != p.self_timed)
+                    continue;
+                EXPECT_EQ(art.verify().render(), p.render)
+                    << art.name << " self_timed=" << p.self_timed;
+                ++checked;
+            }
+            art.prog.self_timed = !art.prog.self_timed;
+        }
+    }
+    EXPECT_EQ(checked, want.size());
+
+    // The DVFS safe-transition tables at the bench_dvfs shapes: every
+    // point, its dividers and its ZORM settings, plus the rejections.
+    apps::DdcPipelineParams dp;
+    dp.samples = 128;
+    apps::WifiPipelineParams wp;
+    wp.symbols = 2;
+    const std::vector<power::DvfsAppHooks> hooks = {
+        apps::dvfsView(apps::ddcSpec(), dp),
+        apps::dvfsView(apps::wifiSpec(), wp),
+        apps::dvfsView(apps::stereoSpec(),
+                       apps::StereoPipelineParams{}),
+        apps::dvfsView(apps::motionSpec(),
+                       apps::MotionPipelineParams{})};
+    const std::vector<std::string> want_tables = {
+        "ddc: 5 points 1 rejected",
+        "x0.250000 div 21 11 79 8 290",
+        "  c0:1071429/28571429 c1:802841/10909091 c2:32437/7594937",
+        "  c3:23/320 c4:3233/1034483",
+        "x0.333333 div 16 8 59 6 218",
+        "  c0:833333/37500000 c1:61/600 c2:86159/10169492",
+        "  c3:23/320 c4:1147/1376147",
+        "x0.500000 div 10 5 39 4 145",
+        "  c0:1/12 c1:101/640 c2:51923/3076923",
+        "  c3:23/320 c4:12931/4137931",
+        "x0.750000 div 7 3 26 2 96",
+        "  c0:1607143/42857143 c1:1549/6400 c2:389423/23076923",
+        "  c3:389/1280 c4:1/100",
+        "x1.000000 div 5 2 19 2 72",
+        "  c0:1/12 c1:261/800 c2:1328947/31578947",
+        "  c3:23/320 c4:83333/8333333",
+        "wifi: 6 points 0 rejected",
+        "x0.250000 div 129 83 5 5 64",
+        "  c0:11877/4651163 c1:7487/7228916 c2:1457143/60000000",
+        "  c3:1457143/60000000 c4:19643/3125000",
+        "x0.333333 div 96 62 3 3 48",
+        "  c0:32143/3125000 c1:48848/9677419 c2:21942857/100000000",
+        "  c3:21942857/100000000 c4:78571/12500000",
+        "x0.500000 div 64 41 2 2 32",
+        "  c0:32143/3125000 c1:191289/14634146 c2:21942857/100000000",
+        "  c3:21942857/100000000 c4:117857/18750000",
+        "x0.666667 div 48 31 1 1 24",
+        "  c0:128571/12500000 c1:97696/19354839 c2:287771429/600000000",
+        "  c3:287771429/600000000 c4:157143/25000000",
+        "x0.750000 div 43 27 1 1 21",
+        "  c0:35631/13953488 c1:278968/11111111 c2:248742857/600000000",
+        "  c3:248742857/600000000 c4:623215/28571429",
+        "x1.000000 div 32 20 1 1 16",
+        "  c0:192857/18750000 c1:557143/15000000 c2:131657143/600000000",
+        "  c3:131657143/600000000 c4:117857/18750000",
+        "stereo: 6 points 0 rejected",
+        "x0.250000 div 4 21 21 21 21 71",
+        "  c0:9289/93750 c1:210929/28571429 c2:210929/28571429",
+        "  c3:210929/28571429 c4:210929/28571429 c5:2569/528169",
+        "x0.333333 div 3 15 15 15 15 53",
+        "  c0:19816533/200000000 c1:1093/20000 c2:1093/20000",
+        "  c3:1093/20000 c4:1093/20000 c5:7197/754717",
+        "x0.500000 div 2 10 10 10 10 35",
+        "  c0:9289/93750 c1:1093/20000 c2:1093/20000",
+        "  c3:1093/20000 c4:1093/20000 c5:323657/17142857",
+        "x0.666667 div 1 7 7 7 7 26",
+        "  c0:79877689/200000000 c1:720449/6122449 c2:720449/6122449",
+        "  c3:720449/6122449 c4:720449/6122449 c5:651323/23076923",
+        "x0.750000 div 1 7 7 7 7 23",
+        "  c0:40539/125000 c1:45199/6122449 c2:45199/6122449",
+        "  c3:45199/6122449 c4:45199/6122449 c5:858157/26086957",
+        "x1.000000 div 1 5 5 5 5 17",
+        "  c0:9289/93750 c1:1093/20000 c2:1093/20000",
+        "  c3:1093/20000 c4:1093/20000 c5:275953/5882353",
+        "motion: 6 points 0 rejected",
+        "x0.250000 div 4 4 1293",
+        "  c0:14371/200000 c1:14371/200000 c2:37/464037",
+        "x0.333333 div 3 3 969",
+        "  c0:14371/200000 c1:14371/200000 c2:528/619195",
+        "x0.500000 div 2 2 646",
+        "  c0:14371/200000 c1:14371/200000 c2:793/928793",
+        "x0.666667 div 1 1 484",
+        "  c0:114371/300000 c1:114371/300000 c2:2336/1239669",
+        "x0.750000 div 1 1 431",
+        "  c0:243113/800000 c1:243113/800000 c2:37/464037",
+        "x1.000000 div 1 1 323",
+        "  c0:14371/200000 c1:14371/200000 c2:317/371517",
+    };
+    power::VfModel vf;
+    power::SupplyLevels levels(vf);
+    std::vector<std::string> got;
+    for (const power::DvfsAppHooks &h : hooks) {
+        std::vector<std::string> lines =
+            tableLines(h.name, power::SafeTransitionTable::build(
+                                   h.artifact,
+                                   power::DvfsGovernorConfig{}
+                                       .rate_scales,
+                                   levels));
+        got.insert(got.end(), lines.begin(), lines.end());
+    }
+    EXPECT_EQ(got, want_tables);
+}
 
 TEST(Verifier, CleanLinearLoweringVerifies)
 {
@@ -305,8 +596,92 @@ TEST(Verifier, OverrunReachableBufferBoundRejected)
     )";
     ChipPlan plan = makePlan({"source", "sink"}, {1, 1},
                              {ZormSetting{}, ZormSetting{}});
-    expectRejected(
-        [&] { lowerPipeline(stages, plan, 20e6); }, "overrun");
+    // Word 2 lands at tick 126, while word 1 is still unread.
+    expectRejected([&] { lowerPipeline(stages, plan, 20e6); },
+                   "read-buffer overrun reachable: the delivery at "
+                   "tick 126 on lane 0 finds actor 'sink' still "
+                   "holding the previous word");
+}
+
+TEST(Verifier, ShortenedDouWaitCounterDivergesAtExactCycle)
+{
+    // motion's me-1 column drives at offsets 1 and 13449 of a
+    // 26896-cycle period; counter 0 times the wait between them.
+    // One cycle less and the second drive state comes up a cycle
+    // before the schedule's slot.
+    LoweredArtifact art = registryArtifact("motion");
+    ASSERT_EQ(art.prog.period, 26896u);
+    ColumnProgram &col = art.prog.columns[1];
+    ASSERT_EQ(col.actor, "me-1");
+    ASSERT_EQ(col.dou.counter_init[0], 13446u);
+    ASSERT_TRUE(art.verify().ok());
+    col.dou.counter_init[0] -= 1;
+
+    VerifyReport rep = art.verify();
+    EXPECT_FALSE(rep.checkPassed("slots"));
+    EXPECT_NE(rep.errorSummary().find(
+                  "actor 'me-1': DOU output diverges from its "
+                  "schedule at bus cycle 13448"),
+              std::string::npos)
+        << rep.errorSummary();
+}
+
+TEST(Verifier, DouThatMissesItsInitialStateRejected)
+{
+    // me-1's tail wait (counter 1) runs from offset 13450 to the
+    // period's end. Shortened, the machine idles into its first
+    // state a cycle early and ends the period one state ahead;
+    // lengthened, the wait runs past the period's end. Neither
+    // produces a wrong output inside the period, but both leave the
+    // machine off its initial state, so later periods drift.
+    for (int delta : {-1, +1}) {
+        LoweredArtifact art = registryArtifact("motion");
+        ColumnProgram &col = art.prog.columns[1];
+        ASSERT_EQ(col.actor, "me-1");
+        ASSERT_EQ(col.dou.counter_init[1], 13445u);
+        col.dou.counter_init[1] = uint32_t(13445 + delta);
+
+        VerifyReport rep = art.verify();
+        EXPECT_FALSE(rep.checkPassed("slots")) << delta;
+        EXPECT_EQ(rep.errorSummary(),
+                  "[slots] actor 'me-1': DOU machine does not return "
+                  "to its initial state after one period, so later "
+                  "periods diverge from the schedule")
+            << delta;
+    }
+}
+
+TEST(Verifier, LongCommFreeNestedLoopStillExceedsWalkBudget)
+{
+    // A comm-free nested lsetup pair of 4095 x (1 + 4 x 4095) ~ 67M
+    // issue slots in the source's prologue: past the walk's 50M-slot
+    // budget, so the comm sequence is not claimed exact, however
+    // cheaply the walk gets there.
+    auto stages = twoActorStages(20);
+    stages[0].prologue = R"(
+        movi r1, 0
+        movi r3, 0
+        lsetup lc0, __outer, 4095
+        lsetup lc1, __inner, 4095
+        addi r3, 1
+        addi r3, 1
+        addi r3, 1
+        addi r3, 1
+    __inner:
+    __outer:
+        add r1, r1, r3
+    )";
+    ChipPlan plan = makePlan({"source", "sink"}, {1, 1},
+                             {ZormSetting{}, ZormSetting{}});
+    auto prog = lowerPipeline(stages, plan, 20e6);
+    VerifyReport rep =
+        verifyLowered(linearDagSpec(stages), plan, prog, 20e6, 1.4);
+    EXPECT_TRUE(rep.ok()) << rep.render();
+    EXPECT_NE(rep.render().find("[note] tags: actor 'source': walk "
+                                "budget exceeded; token counts "
+                                "checked by lane membership only"),
+              std::string::npos)
+        << rep.render();
 }
 
 TEST(Verifier, ZormMismatchRejected)
@@ -332,11 +707,7 @@ TEST(Verifier, CommittedAppLoweringsVerifyCleanOnBothBusSettings)
 {
     // Every registered app's committed lowering, straight from the
     // registry at default params.
-    std::vector<LoweredArtifact> artifacts;
-    for (const std::string &name :
-         apps::AppRegistry::instance().names())
-        artifacts.push_back(
-            apps::AppRegistry::instance().at(name).verifiable());
+    std::vector<LoweredArtifact> artifacts = registryArtifacts();
     EXPECT_EQ(artifacts.size(), 4u);
     for (LoweredArtifact &art : artifacts) {
         VerifyReport committed = art.verify();
