@@ -9,6 +9,14 @@
  * self-timed deferral, legacy drop-new) *exactly* — every proof below
  * is sound only because the abstract step rules are the concrete ones
  * with data values erased. When those files change, change this one.
+ *
+ * The analyses cost program size plus comm events, not run length:
+ * each closed form below is a concrete step rule applied k times at
+ * once — a self-contained loop body's iteration repeated k times by
+ * the comm walk, a DOU wait state's decrement held for v + 1 cycles,
+ * a sleeping column's k stalled edges charged on wake (edge += k,
+ * acc = (acc + k * nops) mod period) — so every finding equals what
+ * stepping them one at a time finds.
  */
 
 #include "mapping/verifier.hh"
@@ -86,6 +94,12 @@ struct WalkResult
  * for branch-free programs. Conditional branches are handled by the
  * comm-transparency rules documented inline; anything else degrades
  * the walk to textual lane sets.
+ *
+ * A self-contained loop body (nothing in it leaves it, and every loop
+ * armed in it ends in it) walks the same path on every iteration, so
+ * only its first iteration is stepped: the rest repeat that
+ * iteration's slots and comm events in closed form. The walk costs
+ * program size plus comm events, not issue slots.
  */
 WalkResult
 walkComm(const std::vector<MicroOp> &uops)
@@ -125,26 +139,44 @@ walkComm(const std::vector<MicroOp> &uops)
         return true;
     };
 
+    // A loop body [lo, hi) is self-contained when every jump and
+    // branch in it targets the body, it cannot halt, and every loop
+    // armed in it ends in it. The walk's branch rules read only the
+    // stack's end addresses, which each iteration sees unchanged, so
+    // every iteration then takes the first one's path.
+    auto selfContained = [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) {
+            const MicroOp &u = uops[i];
+            switch (u.kind) {
+              case UopKind::Halt:
+                return false;
+              case UopKind::Jump:
+              case UopKind::Jcc:
+              case UopKind::Jncc:
+                if (u.imm < int32_t(lo) || u.imm >= int32_t(hi))
+                    return false;
+                break;
+              case UopKind::Lsetup:
+                if (u.end > hi)
+                    return false;
+                break;
+              default:
+                break;
+            }
+        }
+        return true;
+    };
+
     struct Loop
     {
         uint32_t start, end, remaining;
         uint8_t unit;
+        bool repeat;     //!< repeat iteration 1 in closed form
+        uint64_t slots0; //!< total_slots at body entry
+        uint64_t gap0;   //!< gap at body entry
+        size_t events0;  //!< events.size() at body entry
     };
     std::vector<Loop> stack;
-
-    // Mirror of SimdController::advancePc(): unwind loop ends from
-    // the top of the stack.
-    auto advance = [&](uint32_t from) {
-        uint32_t next = from + 1;
-        while (!stack.empty() && next == stack.back().end) {
-            if (--stack.back().remaining > 0) {
-                next = stack.back().start;
-                break;
-            }
-            stack.pop_back();
-        }
-        return next;
-    };
 
     auto inexact = [&](std::string why) {
         w.sequence_exact = false;
@@ -156,8 +188,60 @@ walkComm(const std::vector<MicroOp> &uops)
 
     constexpr uint64_t WalkBudget = 50'000'000;
     uint64_t gap = 0;
+
+    // Apply the k iterations left after a self-contained body's first
+    // one. Each repeats its slots; its first comm event follows the
+    // previous iteration's trailing gap rather than the pre-loop one.
+    // The per-slot walk would have exceeded its budget inside them
+    // iff they end past it, and nothing else can stop them.
+    auto repeatIteration = [&](const Loop &l, uint64_t k) {
+        const uint64_t body = w.total_slots - l.slots0;
+        if (w.total_slots + k * body > WalkBudget) {
+            inexact("walk budget exceeded");
+            w.total_slots = WalkBudget;
+            return;
+        }
+        w.total_slots += k * body;
+        const size_t e1 = w.events.size();
+        if (e1 == l.events0) {
+            gap += k * body;
+            return;
+        }
+        CommEvent first = w.events[l.events0];
+        first.gap = first.gap - l.gap0 + gap;
+        w.events.reserve(e1 + k * (e1 - l.events0));
+        for (uint64_t i = 0; i < k; ++i) {
+            w.events.push_back(first);
+            w.events.insert(w.events.end(),
+                            w.events.begin() + l.events0 + 1,
+                            w.events.begin() + e1);
+        }
+    };
+
+    // Mirror of SimdController::advancePc(): unwind loop ends from
+    // the top of the stack. A repeated body's remaining iterations
+    // are applied at its first loop-back, as if its last one had just
+    // ended.
+    auto advance = [&](uint32_t from) {
+        uint32_t next = from + 1;
+        while (!stack.empty() && next == stack.back().end) {
+            Loop &l = stack.back();
+            if (--l.remaining > 0) {
+                if (!l.repeat) {
+                    next = l.start;
+                    break;
+                }
+                repeatIteration(l, l.remaining);
+                if (!w.sequence_exact)
+                    break;
+            }
+            stack.pop_back();
+        }
+        return next;
+    };
+
     uint32_t pc = 0;
-    while (true) {
+    while (w.sequence_exact) {
         if (pc >= n) {
             inexact("pc fell off the program end");
             return w;
@@ -228,8 +312,9 @@ walkComm(const std::vector<MicroOp> &uops)
                     return w;
                 }
             }
-            stack.push_back(
-                {pc + 1, u.end, uint32_t(u.imm), u.acc});
+            stack.push_back({pc + 1, u.end, uint32_t(u.imm), u.acc,
+                             u.imm > 1 && selfContained(pc + 1, u.end),
+                             w.total_slots, gap, w.events.size()});
             pc = advance(pc);
             continue;
           }
@@ -249,6 +334,7 @@ walkComm(const std::vector<MicroOp> &uops)
             continue;
         }
     }
+    return w; // a repeated body ran past the budget
 }
 
 // ---------------------------------------------------------------------
@@ -744,18 +830,41 @@ checkSlots(Analysis &a, VerifyReport &rep)
     // reference interpretation, and require the machine to return to
     // its initial state — which extends the one-period proof to every
     // later period by induction.
+    //
+    // The replay steps a state's whole stay at once. A wait state
+    // (nxt1 == itself) entered with counter value v holds its outputs
+    // for v + 1 cycles, then reloads and exits; an inert self-loop
+    // holds them to the period's end. The reference is all-zero
+    // except at the schedule's active cycles, so a stay is compared at
+    // those cycles (and at its first cycle when its own outputs are
+    // not quiet): the replay costs states plus active offsets, not
+    // bus cycles.
     for (const ColInfo &ci : a.cols) {
         const arch::DouProgram &dou = ci.col->dou;
+        const CommSchedule &sched = ci.col->schedule;
         const std::string &actor = ci.stage->actor;
         if (dou.states.empty()) {
             err("actor '" + actor + "': empty DOU program");
             continue;
         }
+        // Bus cycles in [0, period) whose reference has a transfer:
+        // offset o of the periodic body lands on cycle prologue + o.
+        std::vector<uint64_t> active;
+        for (const Transfer &t : sched.transfers) {
+            const uint64_t cyc = uint64_t(sched.prologue) + t.offset;
+            if (t.offset < sched.period && cyc < prog.period)
+                active.push_back(cyc);
+        }
+        std::sort(active.begin(), active.end());
+        active.erase(std::unique(active.begin(), active.end()),
+                     active.end());
+
         unsigned st = 0;
         std::array<uint32_t, arch::DouNumCounters> ctrs =
             dou.counter_init;
         bool bad = false;
-        for (uint64_t cyc = 0; cyc < prog.period && !bad; ++cyc) {
+        size_t ai = 0; // first active cycle >= cyc
+        for (uint64_t cyc = 0; cyc < prog.period;) {
             if (st >= dou.states.size()) {
                 err(strprintf("actor '%s': DOU transitions to "
                               "missing state %u",
@@ -764,24 +873,69 @@ checkSlots(Analysis &a, VerifyReport &rep)
                 break;
             }
             const arch::DouState &out = dou.states[st];
-            const arch::DouState ref =
-                scheduleOutputAt(ci.col->schedule, cyc);
-            if (out.seg != ref.seg || out.buf != ref.buf) {
-                err(strprintf("actor '%s': DOU output diverges from "
-                              "its schedule at bus cycle %llu",
-                              actor.c_str(),
-                              (unsigned long long)cyc));
-                bad = true;
-                break;
-            }
             uint32_t &ctr = ctrs[out.cntr];
-            if (ctr == 0) {
-                ctr = dou.counter_init[out.cntr];
+            const uint32_t reload = dou.counter_init[out.cntr];
+            const bool inert = out.nxt0 == st && out.nxt1 == st;
+            const bool wait = out.nxt1 == st;
+            const uint64_t stay_end =
+                inert ? prog.period
+                      : std::min<uint64_t>(
+                            prog.period,
+                            cyc + (wait ? uint64_t(ctr) + 1 : 1));
+
+            bool quiet = true;
+            for (uint8_t b : out.buf)
+                quiet = quiet && b == 0;
+            for (uint8_t s : out.seg)
+                quiet = quiet && s == 0;
+            for (uint64_t c = cyc; c < stay_end && !bad;) {
+                while (ai < active.size() && active[ai] < c)
+                    ++ai;
+                const bool is_active =
+                    ai < active.size() && active[ai] == c;
+                bool diverges = !quiet;
+                if (is_active) {
+                    const arch::DouState ref =
+                        scheduleOutputAt(sched, c);
+                    diverges = out.seg != ref.seg || out.buf != ref.buf;
+                }
+                if (diverges) {
+                    err(strprintf("actor '%s': DOU output diverges "
+                                  "from its schedule at bus cycle "
+                                  "%llu",
+                                  actor.c_str(),
+                                  (unsigned long long)c));
+                    bad = true;
+                } else if (is_active) {
+                    ++c;
+                } else {
+                    c = ai < active.size()
+                            ? std::min(active[ai], stay_end)
+                            : stay_end;
+                }
+            }
+            if (bad)
+                break;
+
+            // Step the machine through the stay: the step rule
+            // (zero: reload, take nxt0; else decrement, take nxt1)
+            // applied stay_end - cyc times.
+            const uint64_t steps = stay_end - cyc;
+            if (inert) {
+                // Only the tested counter moves: down to zero, then
+                // round reload..0 again.
+                const uint64_t v = ctr, round = uint64_t(reload) + 1;
+                ctr = uint32_t(steps <= v
+                                   ? v - steps
+                                   : reload - (steps - v - 1) % round);
+            } else if (steps > ctr) {
+                ctr = reload;
                 st = out.nxt0;
             } else {
-                --ctr;
+                ctr -= uint32_t(steps);
                 st = out.nxt1;
             }
+            cyc = stay_end;
         }
         if (!bad && (st != 0 || ctrs != dou.counter_init)) {
             err("actor '" + actor +
@@ -1057,6 +1211,13 @@ kahnReplay(Analysis &a, VerifyReport &rep)
  * next edge. Sound only for timing-exact programs — the caller
  * guarantees that. Proves drop-new overrun unreachable and the run
  * deadlock-free.
+ *
+ * A stalled column sleeps until the one event that can unblock it: a
+ * delivery to the lane it reads, or the drive-slot pop of its write
+ * buffer. Every edge it sleeps through is a stalled or forced-nop
+ * edge, and both only advance the edge count and the ZORM
+ * accumulator, so waking charges them in closed form. The replay
+ * costs comm events and pops, not column edges.
  */
 void
 timedReplay(Analysis &a, VerifyReport &rep)
@@ -1074,6 +1235,7 @@ timedReplay(Analysis &a, VerifyReport &rep)
         uint64_t acc = 0;  //!< ZORM accumulator
         bool halted = false;
         bool stalled = false;
+        bool asleep = false; //!< stalled until a delivery or pop
         int wb_lane = -1;
         std::array<char, arch::BusLanes> rb{};
         std::array<uint64_t, arch::BusLanes> rb_since{};
@@ -1154,6 +1316,31 @@ timedReplay(Analysis &a, VerifyReport &rep)
         }
     };
 
+    // Wake a sleeping column at @p tick: its edges up to and
+    // including @p tick all stalled (a same-tick edge precedes the
+    // bus phase that woke it), so charge them — edge += k and
+    // acc = (acc + k * nops) mod period.
+    auto wake = [](TCol &t, uint64_t tick) {
+        t.asleep = false;
+        const uint64_t last = tick / t.divider;
+        if (last < t.edge)
+            return;
+        const uint64_t k = last - t.edge + 1;
+        t.edge += k;
+        if (t.z.period > 0)
+            t.acc = (t.acc + k % t.z.period * t.z.nops) % t.z.period;
+    };
+
+    // A sleeping writer waits for any pop of its buffer; a sleeping
+    // reader for a word on the lane it reads.
+    auto sleepsOn = [&](size_t c, bool is_read, unsigned lane) {
+        if (!st[c].asleep)
+            return false;
+        const CommEvent &e = a.cols[c].events[st[c].next];
+        return e.is_read == is_read &&
+               (!is_read || unsigned(e.lane) == lane);
+    };
+
     // One column edge: ZORM gate first, then the comm attempt — the
     // exact SimdController::cycle() order (a stalled edge still
     // advances the accumulator).
@@ -1174,7 +1361,9 @@ timedReplay(Analysis &a, VerifyReport &rep)
                 t.rb[lane] = 0;
                 finishOp(c);
             } else {
+                // An empty buffer fills only by a delivery.
                 t.stalled = true;
+                t.asleep = !t.rb[lane];
             }
         } else {
             if (t.wb_lane < 0) {
@@ -1182,7 +1371,9 @@ timedReplay(Analysis &a, VerifyReport &rep)
                 --t.pending_writes[lane];
                 finishOp(c);
             } else {
+                // A full write buffer empties only by a pop.
                 t.stalled = true;
+                t.asleep = true;
             }
         }
     };
@@ -1240,6 +1431,9 @@ timedReplay(Analysis &a, VerifyReport &rep)
         return false;
     };
 
+    // Every replay step is a comm attempt, a forced-nop retry or a
+    // pop, so the replay ends after O(comm events) steps; the guard
+    // only bounds a pathological artifact.
     constexpr uint64_t IterGuard = 400'000'000;
     uint64_t tick = 0;
     bool first = true;
@@ -1257,30 +1451,24 @@ timedReplay(Analysis &a, VerifyReport &rep)
                     "freedom not proven");
             return;
         }
-        if ((iter & 0x1fff) == 0x1fff) {
-            std::string who;
-            if (deadlocked(who)) {
-                rep.add(Severity::Error, "tokens",
-                        "deadlock: " + who);
-                return;
-            }
-        }
 
-        // Next interesting tick: a column edge, or a drive slot that
-        // can pop a pending write-buffer word.
+        // Next interesting tick: an awake column's edge, or a drive
+        // slot that can pop a pending write-buffer word. With every
+        // live column asleep and no pop pending, nothing can happen.
         uint64_t tn = UINT64_MAX;
         for (const TCol &t : st) {
-            if (!t.halted)
+            if (!t.halted && !t.asleep)
                 tn = std::min(tn, t.edge * t.divider);
         }
         const uint64_t from = first ? 0 : tick + 1;
+        const uint64_t phase = from % period;
         for (const TCol &t : st) {
             if (t.wb_lane < 0)
                 continue;
             for (unsigned off : t.drive_offs[unsigned(t.wb_lane)]) {
-                const uint64_t phase = from % period;
                 const uint64_t next =
-                    from + ((off + period - phase) % period);
+                    from + (off >= phase ? off - phase
+                                         : off + period - phase);
                 tn = std::min(tn, next);
             }
         }
@@ -1295,14 +1483,17 @@ timedReplay(Analysis &a, VerifyReport &rep)
         tick = tn;
         first = false;
 
-        // 1) every column edge at this tick (domain edges precede
-        //    the reference phase, as in the scheduler backends);
+        // 1) every awake column edge at this tick (domain edges
+        //    precede the reference phase, as in the scheduler
+        //    backends);
         for (size_t c = 0; c < a.cols.size(); ++c) {
-            if (!st[c].halted && st[c].edge * st[c].divider == tick)
+            if (!st[c].halted && !st[c].asleep &&
+                st[c].edge * st[c].divider == tick)
                 attempt(c, tick);
         }
         // 2) the bus cycle at this tick: pop tag-matched words,
-        //    deliver, and flag legacy drop-new.
+        //    deliver, flag legacy drop-new, and wake the writer the
+        //    pop unblocks and the reader the delivery feeds.
         auto it = slots.find(unsigned(tick % period));
         if (it == slots.end())
             continue;
@@ -1311,6 +1502,8 @@ timedReplay(Analysis &a, VerifyReport &rep)
             if (p.wb_lane != int(s.lane))
                 continue;
             p.wb_lane = -1;
+            if (sleepsOn(s.prod, false, s.lane))
+                wake(p, tick);
             TCol &cns = st[s.cons];
             if (cns.rb[s.lane]) {
                 rep.add(
@@ -1326,6 +1519,8 @@ timedReplay(Analysis &a, VerifyReport &rep)
             }
             cns.rb[s.lane] = 1;
             cns.rb_since[s.lane] = tick;
+            if (sleepsOn(s.cons, true, s.lane))
+                wake(cns, tick);
         }
     }
 }
