@@ -8,17 +8,22 @@
  * power-vs-throughput Pareto frontier. Every frontier point is
  * bit-exact against its dsp:: golden and cross-checked on the
  * EventQueue backend; the analytic Optimizer's pick must sit on (or
- * within 10% total power of) the measured frontier. Appends the
- * numbers to BENCH_explore.json so the trajectory is tracked across
- * PRs (tools/bench_check.py gates regressions in CI).
+ * within 10% total power of) the measured frontier. Each app's
+ * section also records verify_ms, the median host time of 9 static
+ * verifications of its committed lowering (informational; no gate).
+ * Appends the numbers to BENCH_explore.json so the trajectory is
+ * tracked across PRs (tools/bench_check.py gates regressions in CI).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "apps/app_registry.hh"
 #include "bench_json.hh"
 #include "mapping/explorer.hh"
+#include "mapping/verifier.hh"
 
 using namespace synchro;
 using mapping::ExplorationResult;
@@ -36,6 +41,25 @@ frontierBestRate(const ExplorationResult &res)
                         res.points[i].achieved_items_per_sec);
     }
     return best;
+}
+
+/** Median wall time (ms) of 9 verifications of @p app's committed
+ * lowering. */
+double
+verifyMs(const std::string &app)
+{
+    const mapping::LoweredArtifact art =
+        apps::AppRegistry::instance().at(app).verifiable();
+    std::vector<double> ms;
+    for (int i = 0; i < 9; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
+        art.verify();
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::nth_element(ms.begin(), ms.begin() + 4, ms.end());
+    return ms[4];
 }
 
 /** Record one app's exploration in the report; returns pass/fail. */
@@ -62,6 +86,7 @@ record(bench::JsonReport &report, const ExplorationResult &res,
     report.set(section, rate_key,
                frontierBestRate(res) * rate_scale);
     report.set(section, "explore_seconds", seconds);
+    report.set(section, "verify_ms", verifyMs(res.app));
     return res.all_bit_exact && res.agreement;
 }
 

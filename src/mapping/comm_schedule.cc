@@ -1,6 +1,7 @@
 #include "mapping/comm_schedule.hh"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "common/log.hh"
@@ -20,7 +21,8 @@ DouState
 cycleOutputs(const CommSchedule &sched, unsigned offset)
 {
     DouState st;
-    std::vector<int> lane_owner(arch::BusLanes, -1);
+    std::array<int, arch::BusLanes> lane_owner;
+    lane_owner.fill(-1);
 
     for (size_t ti = 0; ti < sched.transfers.size(); ++ti) {
         const Transfer &t = sched.transfers[ti];
@@ -175,14 +177,11 @@ compileSchedule(const CommSchedule &sched)
 
     // Active offsets in order.
     std::vector<unsigned> active;
-    for (unsigned off = 0; off < sched.period; ++off) {
-        for (const Transfer &t : sched.transfers) {
-            if (t.offset == off) {
-                active.push_back(off);
-                break;
-            }
-        }
-    }
+    for (const Transfer &t : sched.transfers)
+        active.push_back(t.offset);
+    std::sort(active.begin(), active.end());
+    active.erase(std::unique(active.begin(), active.end()),
+                 active.end());
 
     DouProgram prog;
     unsigned counters_used = 0;

@@ -325,8 +325,11 @@ void
 FleetExecutor::finishStream(Stream &s, Worker &shard)
 {
     // Harvest the whole stream's counters into the serving worker's
-    // shard, then release the chip — peak memory tracks the streams
-    // in flight, not the fleet size.
+    // shard, then release the chip. A stream's chip lives from its
+    // first item to its last, so peak memory tracks the streams
+    // admitted and not yet finished: admitting every stream up front
+    // keeps every multi-item stream's chip live at once (~0.7 MB
+    // each; 128 streams of 4 items peak near 94 MB).
     if (s.chip) {
         s.chip->forEachStat(
             [&shard](const std::string &name, uint64_t v) {
