@@ -1234,12 +1234,10 @@ timedReplay(Analysis &a, VerifyReport &rep)
         uint64_t edge = 0; //!< column edges consumed; tick = edge*div
         uint64_t acc = 0;  //!< ZORM accumulator
         bool halted = false;
-        bool stalled = false;
         bool asleep = false; //!< stalled until a delivery or pop
         int wb_lane = -1;
         std::array<char, arch::BusLanes> rb{};
         std::array<uint64_t, arch::BusLanes> rb_since{};
-        std::array<uint64_t, arch::BusLanes> pending_writes{};
         std::array<std::vector<unsigned>, arch::BusLanes> drive_offs;
     };
     std::vector<TCol> st(a.cols.size());
@@ -1261,11 +1259,6 @@ timedReplay(Analysis &a, VerifyReport &rep)
             }
         }
     }
-
-    std::array<int, arch::BusLanes> producer_of;
-    producer_of.fill(-1);
-    for (const EdgeInfo &ei : a.edges)
-        producer_of[ei.lane] = int(ei.src);
 
     // Advance a column through k useful issue slots, charging the
     // ZORM-forced nop edges in closed form: S = k + (acc0 + S*n)/p
@@ -1293,9 +1286,6 @@ timedReplay(Analysis &a, VerifyReport &rep)
         t.z = a.cols[c].col->zorm;
         if (t.z.period > 0 && t.z.nops >= t.z.period)
             return; // "zorm" already rejected this artifact
-        for (const CommEvent &e : a.cols[c].events)
-            if (!e.is_read)
-                ++t.pending_writes[unsigned(e.lane)];
         if (a.cols[c].events.empty()) {
             t.halted = true;
         } else {
@@ -1306,7 +1296,6 @@ timedReplay(Analysis &a, VerifyReport &rep)
     auto finishOp = [&](size_t c) {
         TCol &t = st[c];
         const std::vector<CommEvent> &ev = a.cols[c].events;
-        t.stalled = false;
         ++t.next;
         if (t.next < ev.size()) {
             burn(t, ev[t.next].gap);
@@ -1362,73 +1351,17 @@ timedReplay(Analysis &a, VerifyReport &rep)
                 finishOp(c);
             } else {
                 // An empty buffer fills only by a delivery.
-                t.stalled = true;
                 t.asleep = !t.rb[lane];
             }
         } else {
             if (t.wb_lane < 0) {
                 t.wb_lane = int(lane);
-                --t.pending_writes[lane];
                 finishOp(c);
             } else {
                 // A full write buffer empties only by a pop.
-                t.stalled = true;
                 t.asleep = true;
             }
         }
-    };
-
-    // Deadlock detection: a column makes progress iff it is still
-    // computing, its pending write will be popped (legacy drive
-    // slots pop unconditionally), or the lane it reads is full /
-    // in its progressing producer's remaining writes.
-    auto deadlocked = [&](std::string &who) {
-        std::vector<char> prog_flag(a.cols.size(), 0);
-        for (size_t c = 0; c < a.cols.size(); ++c) {
-            const TCol &t = st[c];
-            if (t.halted || !t.stalled) {
-                prog_flag[c] = 1;
-                continue;
-            }
-            const CommEvent &e = a.cols[c].events[t.next];
-            if (!e.is_read) {
-                prog_flag[c] = 1; // write stall: the slot will pop
-            } else if (t.rb[unsigned(e.lane)]) {
-                prog_flag[c] = 1;
-            }
-        }
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (size_t c = 0; c < a.cols.size(); ++c) {
-                if (prog_flag[c] || st[c].halted)
-                    continue;
-                const CommEvent &e = a.cols[c].events[st[c].next];
-                const int p = producer_of[unsigned(e.lane)];
-                if (p < 0)
-                    continue;
-                const TCol &pt = st[size_t(p)];
-                const bool fed =
-                    pt.wb_lane == e.lane ||
-                    (prog_flag[size_t(p)] &&
-                     pt.pending_writes[unsigned(e.lane)] > 0);
-                if (fed) {
-                    prog_flag[c] = 1;
-                    changed = true;
-                }
-            }
-        }
-        for (size_t c = 0; c < a.cols.size(); ++c) {
-            if (!st[c].halted && !prog_flag[c]) {
-                const CommEvent &e = a.cols[c].events[st[c].next];
-                who = strprintf("actor '%s' waits forever on lane "
-                                "%d",
-                                a.cols[c].stage->actor.c_str(),
-                                e.lane);
-                return true;
-            }
-        }
-        return false;
     };
 
     // Every replay step is a comm attempt, a forced-nop retry or a
@@ -1473,12 +1406,18 @@ timedReplay(Analysis &a, VerifyReport &rep)
             }
         }
         if (tn == UINT64_MAX) {
-            std::string who;
-            rep.add(Severity::Error, "tokens",
-                    deadlocked(who) ? "deadlock: " + who
-                                    : "deadlock: no column can make "
-                                      "progress");
-            return;
+            // Every live column sleeps and no pop is pending: nothing
+            // can ever wake them.
+            for (size_t c = 0; c < a.cols.size(); ++c) {
+                if (st[c].halted)
+                    continue;
+                rep.add(Severity::Error, "tokens",
+                        strprintf("deadlock: actor '%s' waits forever "
+                                  "on lane %d",
+                                  a.cols[c].stage->actor.c_str(),
+                                  a.cols[c].events[st[c].next].lane));
+                return;
+            }
         }
         tick = tn;
         first = false;
