@@ -1,5 +1,9 @@
 #include "arch/bus.hh"
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+
 #include "common/log.hh"
 
 namespace synchro::arch
@@ -19,180 +23,73 @@ BusFabric::BusFabric(unsigned n_columns, bool strict,
 {
 }
 
-int
-BusFabric::find(int x)
+CyclePlan
+buildPlan(const std::vector<const DouState *> &states)
 {
-    while (parent_[x] != x) {
-        parent_[x] = parent_[parent_[x]];
-        x = parent_[x];
-    }
-    return x;
-}
-
-void
-BusFabric::unite(int a, int b)
-{
-    a = find(a);
-    b = find(b);
-    if (a != b)
-        parent_[b] = a;
-}
-
-void
-BusFabric::buildPlan(const std::vector<ColumnBusView> &views,
-                     CyclePlan &plan)
-{
-    // Only lanes with at least one scheduled drive do anything — a
-    // lane whose gather pass finds no driver performs no bookkeeping
-    // in cycle() (`any_activity`), so restricting the plan to driven
-    // lanes is bit-identical. Transfers are sparse (typically one or
-    // two lanes per active cycle of eight).
+    // Only lanes with a scheduled drive do anything in cycle().
     uint32_t drive_lanes = 0;
-    for (unsigned c = 0; c < n_columns_; ++c) {
-        const DouState *st = views[c].state;
-        if (!st)
-            continue;
-        for (unsigned t = 0; t < TilesPerColumn; ++t) {
-            if (st->buf[t] == 0)
-                continue;
-            BufferCtl ctl = BufferCtl::fromByte(st->buf[t]);
+    for (const DouState *st : states) {
+        for (uint8_t b : st->buf) {
+            const BufferCtl ctl = BufferCtl::fromByte(b);
             if (ctl.drive)
                 drive_lanes |= 1u << ctl.drive_lane;
         }
     }
-    if (drive_lanes == 0)
-        return;
-
-    // Node numbering per lane: column c tile position t -> c*4 + t;
-    // the horizontal bus is node n_columns*4.
-    const int n_nodes = int(n_columns_) * 4 + 1;
-    const int h_node = int(n_columns_) * 4;
-
+    CyclePlan plan;
     for (unsigned lane = 0; lane < BusLanes; ++lane) {
         if (!(drive_lanes & (1u << lane)))
             continue;
-        unsigned pair_bit = lane / 2;
-
-        // Build connectivity for this lane.
-        parent_.resize(n_nodes);
-        for (int i = 0; i < n_nodes; ++i)
-            parent_[i] = i;
-        for (unsigned c = 0; c < n_columns_; ++c) {
-            const DouState *st = views[c].state;
-            if (!st)
-                continue;
-            for (unsigned k = 0; k < 3; ++k) {
-                if (st->seg[k] & (1u << pair_bit))
-                    unite(int(c * 4 + k), int(c * 4 + k + 1));
-            }
-            if (st->seg[3] & (1u << pair_bit))
-                unite(int(c * 4), h_node);
-        }
-
+        // Segment groups on this lane: closed switches chain a
+        // column's tile positions into intervals, and a closed
+        // boundary switch joins position 0's interval to the one
+        // horizontal bus (group 0). group_nodes counts each group's
+        // nodes, the input of wire-span accounting.
+        const unsigned bit = 1u << (lane / 2);
         LanePlan lp;
         lp.lane = uint8_t(lane);
-
-        // Dense group ids for the segment groups this lane's slots
-        // touch (drivers and captures both — a capture in a driverless
-        // group still needs a group to look up for underrun checks).
-        std::vector<int> group_of(n_nodes, -1);
-        auto groupId = [&](int root) {
-            if (group_of[root] < 0) {
-                group_of[root] = int(lp.group_nodes.size());
-                lp.group_nodes.push_back(0);
-            }
-            return uint16_t(group_of[root]);
-        };
-
-        for (unsigned c = 0; c < n_columns_; ++c) {
-            const DouState *st = views[c].state;
-            if (!st)
-                continue;
+        lp.group_nodes = {1};
+        for (unsigned c = 0; c < states.size(); ++c) {
+            uint16_t group = 0;
             for (unsigned t = 0; t < TilesPerColumn; ++t) {
-                if (st->buf[t] == 0)
-                    continue;
-                BufferCtl ctl = BufferCtl::fromByte(st->buf[t]);
-                LanePlan::Slot s;
-                s.col = uint8_t(c);
-                s.tile = uint8_t(t);
-                if (ctl.drive && ctl.drive_lane == lane) {
-                    s.group = groupId(find(int(c * 4 + t)));
+                const uint8_t sw = states[c]->seg[t == 0 ? 3 : t - 1];
+                if (!(sw & bit)) {
+                    group = uint16_t(lp.group_nodes.size());
+                    lp.group_nodes.push_back(0);
+                }
+                ++lp.group_nodes[group];
+                const BufferCtl ctl = BufferCtl::fromByte(states[c]->buf[t]);
+                const LanePlan::Slot s{uint8_t(c), uint8_t(t), group};
+                if (ctl.drive && ctl.drive_lane == lane)
                     lp.drivers.push_back(s);
-                }
-                if (ctl.capture && ctl.capture_lane == lane) {
-                    s.group = groupId(find(int(c * 4 + t)));
+                if (ctl.capture && ctl.capture_lane == lane)
                     lp.captures.push_back(s);
-                }
             }
         }
-
-        // Wire-span accounting input: nodes per referenced group.
-        for (int i = 0; i < n_nodes; ++i) {
-            int g = group_of[find(i)];
-            if (g >= 0)
-                ++lp.group_nodes[g];
+        // Renumber densely over the groups a slot touches: cycle()
+        // visits every group of the plan on every active phase.
+        std::vector<int> dense(lp.group_nodes.size(), -1);
+        std::vector<uint32_t> nodes;
+        for (auto *slots : {&lp.drivers, &lp.captures}) {
+            for (LanePlan::Slot &s : *slots) {
+                if (dense[s.group] < 0) {
+                    dense[s.group] = int(nodes.size());
+                    nodes.push_back(lp.group_nodes[s.group]);
+                }
+                s.group = uint16_t(dense[s.group]);
+            }
         }
-
+        lp.group_nodes = std::move(nodes);
         plan.push_back(std::move(lp));
     }
-}
-
-const BusFabric::CyclePlan &
-BusFabric::lookupPlan(const std::vector<ColumnBusView> &views)
-{
-    plan_key_.resize(n_columns_);
-    for (unsigned c = 0; c < n_columns_; ++c) {
-        const DouState *st = views[c].state;
-        uint64_t w = 0;
-        if (st) {
-            for (unsigned t = 0; t < TilesPerColumn; ++t)
-                w = (w << 8) | st->buf[t];
-            for (unsigned s = 0; s < SegPointsPerColumn; ++s)
-                w = (w << 4) | (st->seg[s] & 0xf);
-        }
-        plan_key_[c] = w;
-    }
-    auto it = plan_cache_.find(plan_key_);
-    if (it != plan_cache_.end())
-        return it->second;
-    // Static schedules revisit a handful of combinations; a
-    // branch-heavy program could keep minting new ones, so bound the
-    // cache rather than grow without limit.
-    if (plan_cache_.size() >= 4096)
-        plan_cache_.clear();
-    CyclePlan &plan = plan_cache_[plan_key_];
-    buildPlan(views, plan);
     return plan;
 }
 
 void
-BusFabric::cycle(std::vector<ColumnBusView> &views)
+BusFabric::cycle(const CyclePlan &plan, const ColumnTiles &tiles)
 {
-    sync_assert(views.size() == n_columns_,
-                "bus cycle expects %u column views, got %zu",
-                n_columns_, views.size());
-
-    // Fast path: on most cycles no DOU drives or captures anything
-    // (statically scheduled transfers are sparse), and segment
-    // switches without endpoints move no data — skip the per-lane
-    // resolution entirely. Bit-identical: with every buffer-control
-    // byte zero the full scan below counts and delivers nothing.
-    bool any_buf = false;
-    for (unsigned c = 0; c < n_columns_ && !any_buf; ++c) {
-        const DouState *st = views[c].state;
-        if (!st)
-            continue;
-        for (unsigned t = 0; t < TilesPerColumn; ++t) {
-            if (st->buf[t] != 0) {
-                any_buf = true;
-                break;
-            }
-        }
-    }
-    if (!any_buf)
-        return;
-
-    const CyclePlan &plan = lookupPlan(views);
+    sync_assert(tiles.size() == n_columns_,
+                "bus cycle expects %u columns, got %zu", n_columns_,
+                tiles.size());
 
     for (const LanePlan &lp : plan) {
         const unsigned lane = lp.lane;
@@ -204,9 +101,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
         group_driver_.assign(n_groups, Driver{});
         bool any_activity = false;
         for (const LanePlan::Slot &s : lp.drivers) {
-            if (s.tile >= views[s.col].tiles.size())
-                continue;
-            Tile *tile = views[s.col].tiles[s.tile];
+            Tile *tile = tiles[s.col][s.tile];
             if (!tile)
                 continue;
             any_activity = true;
@@ -229,7 +124,6 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
             Driver &d = group_driver_[s.group];
             if (d.present) {
                 ++conflicts_;
-                d.conflicted = true;
                 if (strict_)
                     fatal("bus: structural hazard on lane %u — "
                           "two drivers in one segment group",
@@ -242,7 +136,6 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
             }
             d.present = true;
             d.value = tile->writeBuffer().peek();
-            d.src_node = int(s.col) * 4 + s.tile;
             d.src_tile = tile;
         }
 
@@ -256,9 +149,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
         group_deferred_.assign(n_groups, 0);
         if (self_timed_) {
             for (const LanePlan::Slot &s : lp.captures) {
-                if (s.tile >= views[s.col].tiles.size())
-                    continue;
-                Tile *tile = views[s.col].tiles[s.tile];
+                Tile *tile = tiles[s.col][s.tile];
                 if (!tile)
                     continue;
                 if (group_driver_[s.group].present &&
@@ -285,9 +176,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
 
         // Deliver captures into the per-lane read buffers.
         for (const LanePlan::Slot &s : lp.captures) {
-            if (s.tile >= views[s.col].tiles.size())
-                continue;
-            Tile *tile = views[s.col].tiles[s.tile];
+            Tile *tile = tiles[s.col][s.tile];
             if (!tile)
                 continue;
             const Driver &d = group_driver_[s.group];
@@ -314,6 +203,92 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
             ++captures_;
         }
     }
+}
+
+size_t
+BusTable::entryAt(uint64_t phase, uint64_t &base) const
+{
+    base = phase < prefix ? 0 : (phase - prefix) / period * period;
+    auto it = std::partition_point(
+        active.begin(), active.end(),
+        [&](const Entry &e) { return e.end <= phase - base; });
+    size_t i = size_t(it - active.begin());
+    if (i == active.size() && loop < i) {
+        i = loop;
+        base += period;
+    }
+    return i;
+}
+
+std::shared_ptr<const BusTable>
+BusTable::build(std::vector<TrajectoryPtr> trajs,
+                std::vector<uint64_t> starts)
+{
+    auto t = std::make_shared<BusTable>();
+    const size_t n = trajs.size();
+    auto tooLong = [] {
+        fatal("bus: the columns' DOU periods merge into more than %zu "
+              "stretches per hyperperiod",
+              DouMaxRuns);
+    };
+    // Per column: the run covering the current phase, its lasso
+    // unroll, and the phase it ends (never, for an inert tail).
+    std::vector<size_t> run(n);
+    std::vector<uint64_t> base(n), end(n);
+    for (size_t c = 0; c < n; ++c) {
+        const DouTrajectory &d = *trajs[c];
+        run[c] = d.runAt(starts[c], base[c]);
+        end[c] = d.runEnd(run[c], base[c]) - starts[c];
+        if (d.prefix() > starts[c])
+            t->prefix = std::max(t->prefix, d.prefix() - starts[c]);
+        if (d.period == 0)
+            continue;
+        const uint64_t f = d.period / std::gcd(t->period, d.period);
+        if (t->period > (UINT64_MAX >> 2) / f)
+            tooLong();
+        t->period *= f;
+    }
+
+    // Sweep one prefix and one period, cutting at every run boundary
+    // of any column: a stretch where some tile drives or captures
+    // becomes an entry, with one plan per distinct output
+    // combination.
+    std::map<std::vector<uint64_t>, uint32_t> plan_of;
+    std::vector<const DouState *> states(n);
+    std::vector<uint64_t> key(n);
+    const uint64_t horizon = t->prefix + t->period;
+    for (uint64_t x = 0, stretches = 0; x < horizon; ++stretches) {
+        if (stretches == DouMaxRuns)
+            tooLong();
+        if (x == t->prefix)
+            t->loop = t->active.size();
+        uint64_t next = x < t->prefix ? t->prefix : horizon;
+        bool any = false;
+        for (size_t c = 0; c < n; ++c) {
+            const DouTrajectory &d = *trajs[c];
+            states[c] = &d.prog.states[d.runs[run[c]].state];
+            for (uint8_t b : states[c]->buf)
+                any = any || b != 0; // some tile drives or captures
+            key[c] = states[c]->pack() >> 14; // drop nxt0/nxt1
+            next = std::min(next, end[c]);
+        }
+        if (any) {
+            auto [it, fresh] = plan_of.emplace(key, t->plans.size());
+            if (fresh)
+                t->plans.push_back(buildPlan(states));
+            t->active.push_back({x, next, it->second});
+        }
+        x = next;
+        for (size_t c = 0; c < n; ++c) {
+            if (end[c] == x) {
+                trajs[c]->next(run[c], base[c]);
+                end[c] = trajs[c]->runEnd(run[c], base[c]) - starts[c];
+            }
+        }
+    }
+    t->trajs = std::move(trajs);
+    t->starts = std::move(starts);
+    return t;
 }
 
 } // namespace synchro::arch

@@ -28,7 +28,7 @@
 #define SYNC_ARCH_BUS_HH
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "arch/dou.hh"
@@ -38,12 +38,32 @@
 namespace synchro::arch
 {
 
-/** What one column contributes to a bus cycle. */
-struct ColumnBusView
+/**
+ * How one lane resolves under one combination of DOU bus outputs:
+ * segment groups, driver/capture slots and group node counts depend
+ * only on those outputs. Buffer validity, lane tags and deferral stay
+ * dynamic in BusFabric::cycle().
+ */
+struct LanePlan
 {
-    const DouState *state = nullptr;
-    std::vector<Tile *> tiles; //!< up to TilesPerColumn, by position
+    struct Slot
+    {
+        uint8_t col = 0;
+        uint8_t tile = 0;
+        uint16_t group = 0; //!< dense id of the segment group
+    };
+    uint8_t lane = 0;
+    std::vector<Slot> drivers;  //!< in scan order: col asc, tile asc
+    std::vector<Slot> captures; //!< same order
+    std::vector<uint32_t> group_nodes; //!< per group: node count
 };
+using CyclePlan = std::vector<LanePlan>; //!< lanes with a drive
+
+/** Resolve the plan for one DOU output per column. */
+CyclePlan buildPlan(const std::vector<const DouState *> &states);
+
+/** Each column's tiles by position (nullptr if absent). */
+using ColumnTiles = std::vector<std::vector<Tile *>>;
 
 class BusFabric
 {
@@ -61,10 +81,9 @@ class BusFabric
                        bool self_timed = false);
 
     /**
-     * Resolve one bus cycle. Applies each column's current DOU
-     * outputs: pops driving tiles' write buffers onto lanes, resolves
-     * segment connectivity, pushes captured values into the per-lane
-     * read buffers.
+     * Resolve one bus cycle from its plan: pops driving tiles' write
+     * buffers onto lanes and pushes captured values into the
+     * per-lane read buffers.
      *
      * A drive slot whose write buffer holds a word tagged for a
      * *different* lane defers (counted, never fatal): the word waits
@@ -76,7 +95,7 @@ class BusFabric
      * capture overruns (push into a still-valid read buffer) are
      * fatal; otherwise they are counted in stats.
      */
-    void cycle(std::vector<ColumnBusView> &views);
+    void cycle(const CyclePlan &plan, const ColumnTiles &tiles);
 
     bool selfTimed() const { return self_timed_; }
 
@@ -108,57 +127,52 @@ class BusFabric
     Counter &deferrals_;
     Counter &wire_span_;
 
-    // Union-find scratch (reused across cycles).
-    std::vector<int> parent_;
-    int find(int x);
-    void unite(int a, int b);
-
     /** One candidate driver of a connected segment group. */
     struct Driver
     {
         uint32_t value = 0;
-        int src_node = 0;
         Tile *src_tile = nullptr;
         bool present = false;
-        bool conflicted = false;
     };
 
     // Per-lane scratch (reused across cycles — the resolution runs
     // every active reference phase, so it must not allocate).
     std::vector<Driver> group_driver_;
     std::vector<char> group_deferred_;
+};
 
-    /**
-     * Memoized resolution plan for one combination of DOU bus outputs
-     * (buf bytes + seg nibbles of every column). Segment
-     * connectivity, driver/capture slot lists and group node counts
-     * depend only on that content, so steady-state schedules — which
-     * revisit a small set of combinations every firing — skip the
-     * union-find rebuild and the full column×tile rescan. Buffer
-     * validity, lane tags and deferral remain dynamic in cycle().
-     */
-    struct LanePlan
+/**
+ * A chip's bus compiled from its columns' DOU trajectories: every
+ * stretch of *active* phases (some tile drives or captures) with its
+ * plan. Phase 0 finds column c at cycle starts[c] of its trajectory;
+ * entries [0, loop) lie in [0, prefix), entries [loop, end) recur
+ * every `period` phases (the lcm of the columns' periods).
+ */
+struct BusTable
+{
+    struct Entry
     {
-        struct Slot
-        {
-            uint8_t col = 0;
-            uint8_t tile = 0;
-            uint16_t group = 0; //!< dense id of the segment group
-        };
-        uint8_t lane = 0;
-        std::vector<Slot> drivers;  //!< in scan order: col asc, tile asc
-        std::vector<Slot> captures; //!< same order
-        std::vector<uint32_t> group_nodes; //!< per group: node count
+        uint64_t begin = 0; //!< first phase of an active stretch
+        uint64_t end = 0;   //!< one past its last
+        uint32_t plan = 0;  //!< index into plans
     };
-    using CyclePlan = std::vector<LanePlan>; //!< lanes with a drive
 
-    const CyclePlan &lookupPlan(const std::vector<ColumnBusView> &views);
-    void buildPlan(const std::vector<ColumnBusView> &views,
-                   CyclePlan &plan);
+    std::vector<TrajectoryPtr> trajs;
+    std::vector<uint64_t> starts;
+    std::vector<Entry> active;
+    size_t loop = 0;
+    uint64_t prefix = 0;
+    uint64_t period = 1;
+    std::vector<CyclePlan> plans;
 
-    //! Content key (one packed buf+seg word per column) -> plan.
-    std::map<std::vector<uint64_t>, CyclePlan> plan_cache_;
-    std::vector<uint64_t> plan_key_; //!< lookup scratch
+    /** The entry covering or following @p phase (active.size():
+     * none); @p base gets the offset of its table phases. */
+    size_t entryAt(uint64_t phase, uint64_t &base) const;
+
+    /** Merge @p trajs entered at @p starts; fatal() past DouMaxRuns
+     * stretches per hyperperiod. */
+    static std::shared_ptr<const BusTable>
+    build(std::vector<TrajectoryPtr> trajs, std::vector<uint64_t> starts);
 };
 
 } // namespace synchro::arch

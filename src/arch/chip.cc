@@ -1,5 +1,7 @@
 #include "arch/chip.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace synchro::arch
@@ -48,13 +50,22 @@ Chip::domainEdge(unsigned d)
 void
 Chip::refPhase()
 {
-    // All DOU outputs belong to the same cycle: resolve the fabric
-    // against every column's current state, then step every DOU.
+    if (bus_) {
+        // Compiled: the table says whether this phase moves data.
+        if (commQuiet(1) == 0) {
+            const BusTable::Entry &e = bus_->active[entry_];
+            fabric_.cycle(bus_->plans[e.plan], tiles_);
+            if (phase_ + 1 == e.end + base_)
+                entry_ = bus_->entryAt(phase_ + 1, base_);
+        }
+        ++phase_;
+        return;
+    }
+    // EventQueue: step every DOU, then resolve the bus from scratch
+    // against the outputs they all produced for this cycle.
     for (unsigned c = 0; c < columns_.size(); ++c)
-        views_[c].state = &columns_[c]->dou().current();
-    fabric_.cycle(views_);
-    for (auto &col : columns_)
-        col->dou().step();
+        states_[c] = &columns_[c]->dou().step();
+    fabric_.cycle(buildPlan(states_), tiles_);
 }
 
 Tick
@@ -66,31 +77,41 @@ Chip::domainEdgeBlock(unsigned d, Tick max_slots)
 Tick
 Chip::commFreeAdvance(Tick max)
 {
-    // A window of reference phases can be skipped iff every column's
-    // DOU walk through it touches no drive/capture state. Take the
-    // minimum comm-free run across columns, then commit it everywhere
-    // so all DOUs stay on the same tick.
-    Tick k = max;
-    for (auto &col : columns_) {
-        k = Tick(col->dou().commFreeRun(k));
-        if (k == 0)
-            return 0;
-    }
-    for (auto &col : columns_)
-        col->dou().fastForwardCommFree(k);
+    const Tick k = commQuiet(max);
+    phase_ += k;
     return k;
 }
 
 Tick
 Chip::commQuiet(Tick max) const
 {
-    Tick k = max;
+    if (entry_ == bus_->active.size())
+        return max;
+    const uint64_t begin = bus_->active[entry_].begin + base_;
+    return phase_ >= begin ? 0 : std::min<Tick>(max, begin - phase_);
+}
+
+std::shared_ptr<const BusTable>
+Chip::busTable(uint64_t &shift) const
+{
+    std::lock_guard<std::mutex> lock(table_mu_);
+    std::vector<TrajectoryPtr> trajs;
+    std::vector<uint64_t> starts;
     for (const auto &col : columns_) {
-        k = Tick(col->dou().commFreeRun(k));
-        if (k == 0)
-            return 0;
+        trajs.push_back(col->dou().trajectory());
+        starts.push_back(col->dou().position());
     }
-    return k;
+    // The DOUs must sit one common shift past the table's starts.
+    bool fits = table_ && table_->trajs == trajs &&
+                starts[0] >= table_->starts[0];
+    shift = fits ? starts[0] - table_->starts[0] : 0;
+    for (size_t c = 0; fits && c < starts.size(); ++c)
+        fits = starts[c] == table_->starts[c] + shift;
+    if (!fits) {
+        table_ = BusTable::build(std::move(trajs), std::move(starts));
+        shift = 0;
+    }
+    return table_;
 }
 
 Tick
@@ -130,6 +151,10 @@ Chip::clone(SchedulerKind scheduler) const
     auto copy = std::make_unique<Chip>(cfg);
     for (unsigned c = 0; c < columns_.size(); ++c)
         copy->columns_[c]->copyStateFrom(*columns_[c]);
+    if (scheduler == SchedulerKind::Compiled) {
+        uint64_t shift;
+        copy->table_ = busTable(shift);
+    }
     return copy;
 }
 
@@ -182,11 +207,24 @@ Chip::run(Tick max_ticks)
 
     // Tile population only changes between runs; refresh the bus
     // views once here instead of re-allocating them every tick.
-    views_.resize(columns_.size());
+    tiles_.resize(columns_.size());
+    states_.resize(columns_.size());
     for (unsigned c = 0; c < columns_.size(); ++c)
-        views_[c].tiles = columns_[c]->busTiles();
+        tiles_[c] = columns_[c]->busTiles();
+
+    if (cfg_.scheduler == SchedulerKind::Compiled) {
+        bus_ = busTable(phase_);
+        entry_ = bus_->entryAt(phase_, base_);
+    }
 
     SchedStop stop = sched_->run(*this, max_ticks);
+
+    if (bus_) {
+        // Read each DOU's position back off its trajectory.
+        for (unsigned c = 0; c < columns_.size(); ++c)
+            columns_[c]->dou().seek(bus_->starts[c] + phase_);
+        bus_.reset();
+    }
 
     RunExit exit = RunExit::TickLimit;
     switch (stop) {

@@ -15,10 +15,12 @@
  * The tick loop itself is delegated to a pluggable Scheduler
  * (sim/scheduler.hh). The default Compiled backend exploits the
  * statically-known edge pattern of the rationally-related column
- * clocks and the static bus schedule to run each column through the
- * comm-quiet window between delivery slots; the EventQueue backend
- * keeps the original gem5-style event loop for bit-identical
- * cross-checking.
+ * clocks and the static bus schedule: the columns' DOU trajectories
+ * merge into one table of bus-active phases (BusTable), and each
+ * column runs on its own through the comm-quiet window between
+ * them. The EventQueue backend keeps the original gem5-style event
+ * loop, stepping every DOU and resolving every active bus cycle
+ * from scratch, for bit-identical cross-checking.
  */
 
 #ifndef SYNC_ARCH_CHIP_HH
@@ -26,6 +28,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -197,13 +200,29 @@ class Chip : private SchedModel
     Tick domainStallBlock(unsigned d, Tick max_slots) override;
     /// @}
 
+    /** The bus table for the DOUs' programs and positions, kept
+     * while it fits (a template, its clones and restart() share
+     * one); @p shift gets the table phase the DOUs sit at. */
+    std::shared_ptr<const BusTable> busTable(uint64_t &shift) const;
+
     ChipConfig cfg_;
     std::unique_ptr<Scheduler> sched_;
     std::vector<std::unique_ptr<Column>> columns_;
     BusFabric fabric_;
 
-    // Scratch for refPhase(), reused across ticks.
-    std::vector<ColumnBusView> views_;
+    // refPhase() scratch, refreshed by run().
+    ColumnTiles tiles_;
+    std::vector<const DouState *> states_;
+
+    mutable std::mutex table_mu_;
+    mutable std::shared_ptr<const BusTable> table_;
+
+    // A Compiled run's place in its bus table: the phase, and the
+    // active entry it is in or approaches (BusTable::entryAt()).
+    std::shared_ptr<const BusTable> bus_;
+    uint64_t phase_ = 0;
+    size_t entry_ = 0;
+    uint64_t base_ = 0;
 };
 
 } // namespace synchro::arch

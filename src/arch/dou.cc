@@ -1,5 +1,8 @@
 #include "arch/dou.hh"
 
+#include <algorithm>
+#include <map>
+
 #include "common/bitfield.hh"
 #include "common/log.hh"
 
@@ -81,10 +84,98 @@ DouProgram::validate() const
     }
 }
 
-Dou::Dou(unsigned column)
-    : column_(column), prog_(DouProgram::idle()),
-      steps_(stats_.counter("steps"))
+std::string
+DouTrajectory::derive(const DouProgram &prog, DouTrajectory &out)
 {
+    out.prog = prog;
+    out.runs.clear();
+    using Entry = std::pair<unsigned, std::array<uint32_t, DouNumCounters>>;
+    std::map<Entry, size_t> seen;
+    Entry m{0, prog.counter_init};
+    uint64_t cyc = 0;
+    while (true) {
+        auto &[st, ctrs] = m;
+        if (st >= prog.states.size())
+            return strprintf("DOU transitions to missing state %u", st);
+        if (prog.states[st].cntr >= DouNumCounters)
+            return strprintf("DOU state %u tests counter %u", st,
+                             prog.states[st].cntr);
+        auto [it, fresh] = seen.emplace(m, out.runs.size());
+        if (!fresh) {
+            out.loop = it->second;
+            out.period = cyc - out.runs[out.loop].start;
+            return "";
+        }
+        if (out.runs.size() == DouMaxRuns)
+            return strprintf("DOU trajectory does not repeat within "
+                             "%zu runs",
+                             DouMaxRuns);
+        out.runs.push_back({cyc, st, ctrs});
+        const DouState &s = prog.states[st];
+        uint32_t &ctr = ctrs[s.cntr];
+        if (s.nxt0 == st && s.nxt1 == st) {
+            out.loop = out.runs.size() - 1;
+            out.period = 0;
+            return "";
+        }
+        // step(): zero reloads and takes nxt0, else decrement and
+        // take nxt1 — a wait state repeats the latter ctr times.
+        cyc += s.nxt1 == st ? uint64_t(ctr) + 1 : 1;
+        if (s.nxt1 == st || ctr == 0) {
+            ctr = prog.counter_init[s.cntr];
+            st = s.nxt0;
+        } else {
+            --ctr;
+            st = s.nxt1;
+        }
+    }
+}
+
+size_t
+DouTrajectory::runAt(uint64_t cyc, uint64_t &base) const
+{
+    base = 0;
+    if (period && cyc >= prefix()) {
+        base = (cyc - prefix()) / period * period;
+        cyc -= base;
+    }
+    auto it = std::upper_bound(
+        runs.begin(), runs.end(), cyc,
+        [](uint64_t c, const Run &r) { return c < r.start; });
+    return size_t(it - runs.begin()) - 1;
+}
+
+void
+DouTrajectory::at(uint64_t cyc, unsigned &state,
+                  std::array<uint32_t, DouNumCounters> &ctrs) const
+{
+    uint64_t base;
+    const Run &r = runs[runAt(cyc, base)];
+    const uint64_t d = cyc - base - r.start;
+    const DouState &s = prog.states[r.state];
+    state = r.state;
+    ctrs = r.ctrs;
+    uint32_t &ctr = ctrs[s.cntr];
+    if (d <= ctr) {
+        ctr -= uint32_t(d); // a wait state's stay so far
+    } else {
+        // An inert self-loop: the tested counter wraps from zero to
+        // its reload value every reload + 1 cycles.
+        const uint64_t reload = prog.counter_init[s.cntr];
+        ctr = uint32_t(reload - (d - ctr - 1) % (reload + 1));
+    }
+}
+
+Dou::Dou(unsigned column)
+    : column_(column), steps_(stats_.counter("steps"))
+{
+    // Every DOU powers up idle, so they share that trajectory.
+    static const TrajectoryPtr idle = [] {
+        auto t = std::make_shared<DouTrajectory>();
+        DouTrajectory::derive(DouProgram::idle(), *t);
+        return t;
+    }();
+    traj_ = idle;
     reset();
 }
 
@@ -92,7 +183,11 @@ void
 Dou::load(const DouProgram &prog)
 {
     prog.validate();
-    prog_ = prog;
+    auto traj = std::make_shared<DouTrajectory>();
+    const std::string why = DouTrajectory::derive(prog, *traj);
+    if (!why.empty())
+        fatal("column %u: %s", column_, why.c_str());
+    traj_ = std::move(traj);
     reset();
 }
 
@@ -100,122 +195,25 @@ void
 Dou::reset()
 {
     state_ = 0;
-    counters_ = prog_.counter_init;
-    cf_run_ = cf_cap_ = 0;
+    counters_ = traj_->prog.counter_init;
+    pos_ = 0;
+}
+
+void
+Dou::seek(uint64_t pos)
+{
+    traj_->at(pos, state_, counters_);
+    steps_ += pos - pos_;
+    pos_ = pos;
 }
 
 void
 Dou::copyStateFrom(const Dou &other)
 {
-    prog_ = other.prog_;
+    traj_ = other.traj_;
     state_ = other.state_;
     counters_ = other.counters_;
-    cf_run_ = cf_cap_ = 0;
-    cf_end_state_ = 0;
-    cf_end_ctrs_ = {};
-}
-
-uint64_t
-Dou::walkCommFree(uint64_t max, unsigned &st,
-                  std::array<uint32_t, DouNumCounters> &ctrs) const
-{
-    uint64_t taken = 0;
-    while (taken < max) {
-        const DouState &s = prog_.states[st];
-        bool buf_zero = true;
-        for (uint8_t b : s.buf)
-            buf_zero = buf_zero && b == 0;
-        if (!buf_zero)
-            break;
-
-        uint32_t &ctr = ctrs[s.cntr];
-        const uint32_t reload = prog_.counter_init[s.cntr];
-        const uint64_t rem = max - taken;
-
-        if (s.nxt0 == st && s.nxt1 == st) {
-            // Inert self-loop: only the tested counter cycles. step()
-            // maps v -> (v == 0 ? reload : v - 1); starting from
-            // v <= reload the value descends to 0 then cycles with
-            // period reload + 1, so rem steps land at a closed-form
-            // position.
-            uint64_t v = ctr;
-            if (rem <= v) {
-                v -= rem;
-            } else {
-                uint64_t period = uint64_t(reload) + 1;
-                uint64_t r = (rem - v - 1) % period;
-                v = reload - r;
-            }
-            ctr = uint32_t(v);
-            taken = max;
-            break;
-        }
-        if (s.nxt1 == st) {
-            // Wait state: occupied while the counter decrements
-            // (ctr + 1 cycles), then reloads and exits to nxt0.
-            uint64_t stay = uint64_t(ctr) + 1;
-            if (rem < stay) {
-                ctr -= uint32_t(rem);
-                taken = max;
-                break;
-            }
-            ctr = reload;
-            st = s.nxt0;
-            taken += stay;
-            continue;
-        }
-        // Generic comm-free transition: one step() worth of work.
-        if (ctr == 0) {
-            ctr = reload;
-            st = s.nxt0;
-        } else {
-            --ctr;
-            st = s.nxt1;
-        }
-        ++taken;
-    }
-    return taken;
-}
-
-uint64_t
-Dou::commFreeRun(uint64_t max) const
-{
-    if (cf_cap_ >= max || cf_run_ < cf_cap_)
-        return std::min(cf_run_, max);
-    unsigned st = state_;
-    std::array<uint32_t, DouNumCounters> ctrs = counters_;
-    uint64_t taken = walkCommFree(max, st, ctrs);
-    cf_run_ = taken;
-    cf_cap_ = max;
-    cf_end_state_ = st;
-    cf_end_ctrs_ = ctrs;
-    return taken;
-}
-
-void
-Dou::fastForwardCommFree(uint64_t n)
-{
-    if (n == 0)
-        return;
-    if (n == cf_run_) {
-        // Committing exactly the cached run: the probe walk already
-        // computed the landing position, install it directly.
-        state_ = cf_end_state_;
-        counters_ = cf_end_ctrs_;
-        steps_ += n;
-        cf_run_ = 0;
-        cf_cap_ -= std::min(cf_cap_, n);
-        return;
-    }
-    uint64_t taken = walkCommFree(n, state_, counters_);
-    sync_assert(taken == n,
-                "DOU %u: fastForwardCommFree(%llu) hit an active "
-                "state after %llu cycles",
-                column_, (unsigned long long)n,
-                (unsigned long long)taken);
-    steps_ += n;
-    cf_run_ -= std::min(cf_run_, n);
-    cf_cap_ -= std::min(cf_cap_, n);
+    pos_ = other.pos_;
 }
 
 } // namespace synchro::arch

@@ -29,6 +29,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -102,39 +104,98 @@ struct DouProgram
     void validate() const;
 };
 
+/** Most runs a DouTrajectory unrolls; Dou::load() refuses more. */
+constexpr size_t DouMaxRuns = size_t(1) << 16;
+
+/**
+ * A DOU program's outputs as a function of the bus cycle: the machine
+ * walked once from reset, one *run* per state stay (a wait state,
+ * nxt1 == itself, entered with counter value v stays v + 1 cycles).
+ * The (state, counters) at run entries repeat, so runs [0, loop) are a
+ * prefix and runs [loop, end) recur every `period` cycles — or, for a
+ * chain ending in an inert self-loop, the last run lasts forever
+ * (period 0).
+ */
+struct DouTrajectory
+{
+    struct Run
+    {
+        uint64_t start = 0; //!< first cycle of the stay
+        unsigned state = 0;
+        std::array<uint32_t, DouNumCounters> ctrs{}; //!< on entry
+    };
+
+    DouProgram prog;
+    std::vector<Run> runs;
+    size_t loop = 0;
+    uint64_t period = 0;
+
+    /** Walk @p prog from reset into @p out; "" or why it stopped (a
+     * missing successor or counter, no repeat within DouMaxRuns). */
+    static std::string derive(const DouProgram &prog, DouTrajectory &out);
+
+    /** First cycle of the periodic part. */
+    uint64_t prefix() const { return runs[loop].start; }
+
+    /** The run covering cycle @p cyc; @p base gets the multiple of
+     * `period` the lasso was unrolled by to reach it. */
+    size_t runAt(uint64_t cyc, uint64_t &base) const;
+
+    /** First cycle after run @p i of unroll @p base (UINT64_MAX:
+     * never). */
+    uint64_t
+    runEnd(size_t i, uint64_t base) const
+    {
+        if (i + 1 < runs.size())
+            return runs[i + 1].start + base;
+        return period ? prefix() + period + base : UINT64_MAX;
+    }
+
+    /** Advance (@p run, @p base) as runAt() names them by one run. */
+    void
+    next(size_t &run, uint64_t &base) const
+    {
+        if (++run == runs.size()) {
+            run = loop;
+            base += period;
+        }
+    }
+
+    /** The machine's state index and counters at cycle @p cyc. */
+    void at(uint64_t cyc, unsigned &state,
+            std::array<uint32_t, DouNumCounters> &ctrs) const;
+};
+
+using TrajectoryPtr = std::shared_ptr<const DouTrajectory>;
+
 /**
  * The DOU state machine. Call step() once per bus cycle; the returned
  * state's SEG/Buffer outputs configure the column bus for that cycle.
+ * The EventQueue backend steps it; the Compiled backend reads its
+ * position off the trajectory instead (seek()).
  */
 class Dou
 {
   public:
     explicit Dou(unsigned column);
 
+    /** Validate @p prog and derive its trajectory; fatal(), naming
+     * the column, past DouMaxRuns runs. */
     void load(const DouProgram &prog);
 
     /**
      * Outputs for this cycle, then advance. Defined inline: the
-     * reference phase calls this once per column per active tick.
+     * reference phase calls this once per column per tick.
      */
     const DouState &
     step()
     {
-        // A cached comm-free run covers this step: walkCommFree()
-        // mirrors step()'s transition rule exactly, so one real step
-        // consumes one slot of the proven run. Past the run's end
-        // nothing is known.
-        if (cf_run_ > 0) {
-            --cf_run_;
-            --cf_cap_;
-        } else {
-            cf_cap_ = 0;
-        }
         ++steps_;
-        const DouState &out = prog_.states[state_];
+        ++pos_;
+        const DouState &out = traj_->prog.states[state_];
         uint32_t &ctr = counters_[out.cntr];
         if (ctr == 0) {
-            ctr = prog_.counter_init[out.cntr];
+            ctr = traj_->prog.counter_init[out.cntr];
             state_ = out.nxt0;
         } else {
             --ctr;
@@ -144,38 +205,27 @@ class Dou
     }
 
     /** Outputs for this cycle without advancing. */
-    const DouState &current() const { return prog_.states[state_]; }
-
-    /**
-     * How many of the next @p max step() calls are *comm-free*: every
-     * state visited (including the current one) has all-zero buffer
-     * controls, so no tile drives or captures and a bus cycle against
-     * it is a guaranteed no-op. The walk goes
-     * through state transitions — wait states (nxt1 == self) and
-     * inert self-loops are consumed in O(1), other comm-free states
-     * one at a time — so a schedule that parks between its active
-     * slots reports the whole gap.
-     */
-    uint64_t commFreeRun(uint64_t max) const;
-
-    /**
-     * Commit @p n comm-free cycles in one call: state and counters
-     * advance exactly as n step() calls would, and the step statistic
-     * is credited. @p n must not exceed commFreeRun(n) — the walk
-     * panics if it reaches a driving/capturing state early.
-     */
-    void fastForwardCommFree(uint64_t n);
+    const DouState &current() const { return traj_->prog.states[state_]; }
 
     unsigned stateIndex() const { return state_; }
     uint32_t counter(unsigned i) const { return counters_.at(i); }
 
+    /** Cycles stepped since load or reset. */
+    uint64_t position() const { return pos_; }
+
+    /** Jump to cycle @p pos >= position(), crediting the step
+     * statistic as the skipped step() calls would. */
+    void seek(uint64_t pos);
+
+    /** The loaded program's trajectory, shared by copies. */
+    const TrajectoryPtr &trajectory() const { return traj_; }
+
     void reset();
 
     /**
-     * Snapshot @p other's program and machine position (state index,
-     * counters) into this DOU; the comm-free lookahead cache is
-     * dropped (it is re-proven on demand) and statistics are NOT
-     * copied. Chip::clone() drives this.
+     * Snapshot @p other's program (sharing its trajectory) and
+     * machine position into this DOU; statistics are NOT copied.
+     * Chip::clone() drives this.
      */
     void copyStateFrom(const Dou &other);
 
@@ -183,36 +233,13 @@ class Dou
     const StatGroup &stats() const { return stats_; }
 
   private:
-    uint64_t walkCommFree(uint64_t max, unsigned &st,
-                          std::array<uint32_t, DouNumCounters> &ctrs)
-        const;
-
     unsigned column_;
-    DouProgram prog_;
+    TrajectoryPtr traj_;
     unsigned state_ = 0;
     std::array<uint32_t, DouNumCounters> counters_{};
+    uint64_t pos_ = 0;
     StatGroup stats_;
     Counter &steps_;
-
-    /**
-     * Comm-free lookahead cache: the next cf_run_ step() calls are
-     * proven comm-free against horizon cf_cap_ (cf_run_ < cf_cap_
-     * means the run's end is exact, not horizon-capped). Repeated
-     * probes over one quiet window — the Compiled scheduler asks
-     * once to bound stalls and again to batch phases — then hit the
-     * cache instead of re-walking. Any other state change resets it.
-     *
-     * cf_end_* is the machine position after consuming the whole
-     * cached run. Whenever cf_run_ > 0 it is current: only a probe
-     * walk raises cf_run_ (and records the end), and every consuming
-     * path shortens the run from the front, which leaves the position
-     * after the remainder unchanged. fastForwardCommFree() snaps to
-     * it when asked to commit exactly the remaining run.
-     */
-    mutable uint64_t cf_run_ = 0;
-    mutable uint64_t cf_cap_ = 0;
-    mutable unsigned cf_end_state_ = 0;
-    mutable std::array<uint32_t, DouNumCounters> cf_end_ctrs_{};
 };
 
 } // namespace synchro::arch

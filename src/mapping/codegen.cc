@@ -234,29 +234,6 @@ lowerDag(const DagSpec &spec, const ChipPlan &plan,
     out.lanes = slots.lane;
     out.self_timed = spec.self_timed;
 
-    // Lookahead horizon for the Compiled window walk: the
-    // shortest run of delivery-free bus cycles between consecutive
-    // active slots on the period grid, circular over one period.
-    // Every edge's slots count — the columns free-run only while the
-    // whole bus is quiet.
-    {
-        std::vector<unsigned> offs;
-        for (const auto &per_edge : slots.offsets)
-            offs.insert(offs.end(), per_edge.begin(),
-                        per_edge.end());
-        std::sort(offs.begin(), offs.end());
-        offs.erase(std::unique(offs.begin(), offs.end()),
-                   offs.end());
-        unsigned horizon = slots.period;
-        for (size_t i = 0; i < offs.size(); ++i) {
-            unsigned next = i + 1 < offs.size()
-                                ? offs[i + 1]
-                                : offs[0] + slots.period;
-            horizon = std::min(horizon, next - offs[i] - 1);
-        }
-        out.lookahead_horizon = horizon;
-    }
-
     // One CommSchedule per stage; edge e rides lane e at its
     // staggered slot.
     std::vector<CommSchedule> scheds(stages.size());

@@ -157,19 +157,6 @@ struct PipelineProgram
     std::vector<unsigned> lanes; //!< bus lane per DAG edge
 
     /**
-     * Static floor of the comm-quiet window the Compiled backend's
-     * window walk may trust: the shortest run of delivery-free bus
-     * cycles between consecutive active slots of the period grid
-     * (circular over one period), computed from the same
-     * allocateEdgeSlots() schedule the DOU programs encode. The
-     * verifier recomputes this from the slot schedules and rejects
-     * a program whose declared value disagrees (checkSlots); the
-     * runtime's dynamic commQuiet() probe can only ever see windows
-     * at least this wide between delivery slots.
-     */
-    unsigned lookahead_horizon = 0;
-
-    /**
      * Whether the chip must run with the self-timed (deferring) bus:
      * true for DAG programs, false for the legacy linear lowering.
      * Apply as ChipConfig::self_timed_bus before constructing the

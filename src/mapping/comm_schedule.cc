@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <string>
 
 #include "common/log.hh"
 
@@ -16,59 +17,63 @@ using arch::DouState;
 namespace
 {
 
-/** Build the SEG/Buffer outputs for all transfers in one cycle. */
-DouState
-cycleOutputs(const CommSchedule &sched, unsigned offset)
+/**
+ * Build the SEG/Buffer outputs for all transfers in one cycle into
+ * @p st; "" or why no DOU state can encode that cycle.
+ */
+std::string
+cycleOutputs(const CommSchedule &sched, unsigned offset, DouState &st)
 {
-    DouState st;
-    std::array<int, arch::BusLanes> lane_owner;
-    lane_owner.fill(-1);
-
-    for (size_t ti = 0; ti < sched.transfers.size(); ++ti) {
-        const Transfer &t = sched.transfers[ti];
+    st = DouState{};
+    std::array<bool, arch::BusLanes> lane_used{};
+    for (const Transfer &t : sched.transfers) {
         if (t.offset != offset)
             continue;
         if (t.lane >= arch::BusLanes)
-            fatal("schedule: lane %u out of range", t.lane);
+            return strprintf("schedule: lane %u out of range", t.lane);
         if (t.offset >= sched.period)
-            fatal("schedule: offset %u >= period %u", t.offset,
-                  sched.period);
-        if (lane_owner[t.lane] >= 0)
-            fatal("schedule: two transfers on lane %u at offset %u",
-                  t.lane, offset);
-        lane_owner[t.lane] = int(ti);
+            return strprintf("schedule: offset %u >= period %u",
+                             t.offset, sched.period);
+        if (lane_used[t.lane])
+            return strprintf("schedule: two transfers on lane %u at "
+                             "offset %u",
+                             t.lane, offset);
+        lane_used[t.lane] = true;
 
         // Positions this transfer spans (for segment switches).
         unsigned lo = arch::TilesPerColumn, hi = 0;
         bool uses_h = t.to_horizontal || t.src_tile < 0;
-        auto touch = [&](unsigned pos) {
+        std::vector<unsigned> spans = t.dst_tiles;
+        if (t.src_tile >= 0)
+            spans.push_back(unsigned(t.src_tile));
+        for (unsigned pos : spans) {
             if (pos >= arch::TilesPerColumn)
-                fatal("schedule: tile position %u out of range", pos);
+                return strprintf("schedule: tile position %u out of "
+                                 "range",
+                                 pos);
             lo = std::min(lo, pos);
             hi = std::max(hi, pos);
-        };
+        }
         if (t.src_tile >= 0) {
-            touch(unsigned(t.src_tile));
-            BufferCtl c = BufferCtl::fromByte(
-                st.buf[unsigned(t.src_tile)]);
+            BufferCtl c = BufferCtl::fromByte(st.buf[t.src_tile]);
             if (c.drive)
-                fatal("schedule: tile %d drives twice at offset %u",
-                      t.src_tile, offset);
+                return strprintf("schedule: tile %d drives twice at "
+                                 "offset %u",
+                                 t.src_tile, offset);
             c.drive = true;
             c.drive_lane = uint8_t(t.lane);
-            st.buf[unsigned(t.src_tile)] = c.byte();
+            st.buf[t.src_tile] = c.byte();
         }
         // A transfer with no sink is a drain: it empties the source
         // write buffer without delivering anywhere (used to keep
         // SIMD columns in lock step when only some lanes carry
         // useful data).
         for (unsigned d : t.dst_tiles) {
-            touch(d);
             BufferCtl c = BufferCtl::fromByte(st.buf[d]);
             if (c.capture)
-                fatal("schedule: tile %u captures twice at offset "
-                      "%u",
-                      d, offset);
+                return strprintf("schedule: tile %u captures twice at "
+                                 "offset %u",
+                                 d, offset);
             c.capture = true;
             c.capture_lane = uint8_t(t.lane);
             st.buf[d] = c.byte();
@@ -85,7 +90,32 @@ cycleOutputs(const CommSchedule &sched, unsigned offset)
         if (uses_h)
             st.seg[3] = uint8_t(st.seg[3] | (1u << pair_bit));
     }
-    return st;
+    return "";
+}
+
+/**
+ * Three counter waits L3 | L2 | L1 (each at most 40 times the next)
+ * that chain every gap in the fewest states, most significant first.
+ */
+std::array<uint32_t, 3>
+radixWaits(const std::vector<uint32_t> &gaps)
+{
+    std::array<uint32_t, 3> best{};
+    uint64_t best_states = UINT64_MAX;
+    for (uint32_t l3 = 2; l3 < 40; ++l3) {
+        for (uint32_t l2 = 2 * l3; l2 < 40 * l3; l2 += l3) {
+            for (uint32_t l1 = 2 * l2; l1 < 40 * l2; l1 += l2) {
+                uint64_t states = 0;
+                for (uint32_t g : gaps)
+                    states += g / l1 + g % l1 / l2 + g % l2 / l3 + g % l3;
+                if (states < best_states) {
+                    best_states = states;
+                    best = {l1, l2, l3};
+                }
+            }
+        }
+    }
+    return best;
 }
 
 } // namespace
@@ -143,6 +173,18 @@ allocateEdgeSlots(const std::vector<unsigned> &slots_per_edge,
     return slots;
 }
 
+std::string
+scheduleFault(const CommSchedule &sched)
+{
+    DouState st;
+    for (const Transfer &t : sched.transfers) {
+        std::string why = cycleOutputs(sched, t.offset, st);
+        if (!why.empty())
+            return why;
+    }
+    return "";
+}
+
 DouState
 scheduleOutputAt(const CommSchedule &sched, uint64_t bus_cycle)
 {
@@ -150,7 +192,10 @@ scheduleOutputAt(const CommSchedule &sched, uint64_t bus_cycle)
         return DouState{};
     unsigned offset =
         unsigned((bus_cycle - sched.prologue) % sched.period);
-    DouState st = cycleOutputs(sched, offset);
+    DouState st;
+    const std::string why = cycleOutputs(sched, offset, st);
+    if (!why.empty())
+        fatal("%s", why.c_str());
     st.nxt0 = st.nxt1 = 0; // successor fields are compiler business
     return st;
 }
@@ -169,11 +214,9 @@ compileSchedule(const CommSchedule &sched)
 {
     if (sched.period == 0)
         fatal("schedule: zero period");
-    for (const Transfer &t : sched.transfers) {
-        if (t.offset >= sched.period)
-            fatal("schedule: offset %u >= period %u", t.offset,
-                  sched.period);
-    }
+    const std::string why = scheduleFault(sched);
+    if (!why.empty())
+        fatal("%s", why.c_str());
 
     // Active offsets in order.
     std::vector<unsigned> active;
@@ -183,94 +226,89 @@ compileSchedule(const CommSchedule &sched)
     active.erase(std::unique(active.begin(), active.end()),
                  active.end());
 
-    DouProgram prog;
-    unsigned counters_used = 0;
-    std::map<uint32_t, unsigned> gap_counter; // gap -> counter idx
+    // Idle gaps in program order: the prologue, the gap before each
+    // active offset, and the tail completing the period — or, when
+    // nothing ever transfers, one idle state looping forever.
+    std::vector<uint32_t> gaps = {sched.prologue};
+    for (size_t i = 0; i < active.size(); ++i)
+        gaps.push_back(active[i] - (i == 0 ? 0 : active[i - 1] + 1));
+    gaps.push_back(active.empty() ? 1 : sched.period - (active.back() + 1));
 
-    // Emit a wait of `gap` cycles before `next_state`; returns the
-    // index of the first state of the wait (== next_state for gap 0).
-    auto emit_wait = [&](uint32_t gap, auto &&self) -> unsigned {
-        if (gap == 0)
-            return unsigned(prog.states.size());
-        if (gap >= 2) {
-            auto it = gap_counter.find(gap);
-            unsigned ctr;
-            if (it != gap_counter.end()) {
-                ctr = it->second;
-            } else if (counters_used < ReservedCounter) {
-                ctr = counters_used++;
-                // A wait state entered with counter value v spends v
-                // decrement cycles plus one reload-and-exit cycle.
-                prog.counter_init[ctr] = gap - 1;
-                gap_counter[gap] = ctr;
-            } else {
-                // No counter free: chain two shorter waits.
-                unsigned first = self(gap - 1, self);
-                self(1, self);
-                return first;
+    // First each gap gets a counter of its own, first come first
+    // served, and a gap left without one takes the longest counter
+    // wait that fits plus single idle states. When that overflows the
+    // DOU, the counters hold radixWaits() instead and every gap
+    // chains as many counter waits as fit.
+    for (bool chain : {false, true}) {
+        DouProgram prog;
+        std::map<uint32_t, unsigned> waits; // wait length -> counter
+        unsigned used = 0;
+        if (chain) {
+            const std::array<uint32_t, 3> lens = radixWaits(gaps);
+            for (; used < ReservedCounter; ++used) {
+                prog.counter_init[used] = lens[used] - 1;
+                waits[lens[used]] = used;
             }
-            // One state that self-loops gap-1 times then exits:
-            // gap idle cycles total, counter auto-reloaded for the
-            // next period.
-            DouState wait;
-            wait.cntr = uint8_t(ctr);
-            unsigned idx = unsigned(prog.states.size());
-            wait.nxt1 = uint8_t(idx);
-            wait.nxt0 = uint8_t(idx + 1);
-            prog.states.push_back(wait);
-            return idx;
         }
-        // gap == 1: single idle state falling through.
-        DouState idle;
-        idle.cntr = uint8_t(ReservedCounter);
-        unsigned idx = unsigned(prog.states.size());
-        idle.nxt0 = idle.nxt1 = uint8_t(idx + 1);
-        prog.states.push_back(idle);
-        return idx;
-    };
+        auto emit_wait = [&](uint32_t gap) {
+            for (bool first = true; gap > 0; first = false) {
+                if (gap >= 2 && used < ReservedCounter && !waits.count(gap)) {
+                    prog.counter_init[used] = gap - 1;
+                    waits.emplace(gap, used++);
+                }
+                // The longest wait that fits (the gap's own, if any).
+                auto it = waits.upper_bound(gap);
+                if (it == waits.begin() || !(first || chain))
+                    it = waits.end();
+                else
+                    --it;
+                // A wait state entered with counter value v spends v
+                // decrement cycles plus one reload-and-exit cycle, so
+                // the counter is reloaded for its next use.
+                DouState wait;
+                wait.cntr = uint8_t(ReservedCounter);
+                const unsigned idx = unsigned(prog.states.size());
+                wait.nxt0 = wait.nxt1 = uint8_t(idx + 1);
+                uint32_t len = 1;
+                if (it != waits.end()) {
+                    len = it->first;
+                    wait.cntr = uint8_t(it->second);
+                    wait.nxt1 = uint8_t(idx);
+                }
+                if (idx > arch::DouMaxStates)
+                    return;
+                prog.states.push_back(wait);
+                gap -= len;
+            }
+        };
 
-    // Prologue wait, then the periodic body.
-    unsigned body_start = 0;
-    if (sched.prologue > 0)
-        emit_wait(sched.prologue, emit_wait);
-    body_start = unsigned(prog.states.size());
-
-    if (active.empty()) {
-        // Nothing ever transfers: idle forever.
-        DouState idle;
-        idle.cntr = uint8_t(ReservedCounter);
-        idle.nxt0 = idle.nxt1 = uint8_t(prog.states.size());
-        prog.states.push_back(idle);
+        // Prologue wait, then the periodic body.
+        emit_wait(gaps.front());
+        const unsigned body_start = unsigned(prog.states.size());
+        for (size_t i = 0; i < active.size(); ++i) {
+            emit_wait(gaps[i + 1]);
+            DouState st;
+            cycleOutputs(sched, active[i], st); // scheduleFault() passed
+            st.cntr = uint8_t(ReservedCounter);
+            unsigned idx = unsigned(prog.states.size());
+            st.nxt0 = st.nxt1 = uint8_t(idx + 1);
+            prog.states.push_back(st);
+        }
+        emit_wait(gaps.back());
+        if (prog.states.size() > arch::DouMaxStates)
+            continue;
+        // The last emitted state must wrap to body_start instead of
+        // falling through.
+        DouState &last = prog.states.back();
+        if (last.nxt0 == prog.states.size())
+            last.nxt0 = uint8_t(body_start);
+        if (last.nxt1 == prog.states.size())
+            last.nxt1 = uint8_t(body_start);
         prog.validate();
         return prog;
     }
-
-    for (size_t i = 0; i < active.size(); ++i) {
-        // Wait from the previous active offset to this one.
-        unsigned prev_end = i == 0 ? 0 : active[i - 1] + 1;
-        emit_wait(active[i] - prev_end, emit_wait);
-        DouState st = cycleOutputs(sched, active[i]);
-        st.cntr = uint8_t(ReservedCounter);
-        unsigned idx = unsigned(prog.states.size());
-        st.nxt0 = st.nxt1 = uint8_t(idx + 1);
-        prog.states.push_back(st);
-    }
-    // Tail wait to complete the period, then wrap to the body.
-    unsigned tail = sched.period - (active.back() + 1);
-    emit_wait(tail, emit_wait);
-    // The last emitted state must wrap to body_start instead of
-    // falling through.
-    DouState &last = prog.states.back();
-    if (last.nxt0 == prog.states.size())
-        last.nxt0 = uint8_t(body_start);
-    if (last.nxt1 == prog.states.size())
-        last.nxt1 = uint8_t(body_start);
-
-    if (prog.states.size() > arch::DouMaxStates)
-        fatal("schedule compiles to %zu states; the DOU holds %u",
-              prog.states.size(), arch::DouMaxStates);
-    prog.validate();
-    return prog;
+    fatal("schedule compiles to more than %u states; the DOU holds %u",
+          arch::DouMaxStates, arch::DouMaxStates);
 }
 
 } // namespace synchro::mapping

@@ -8,8 +8,8 @@
  * A schedule is a repeating window of `period` bus cycles with
  * transfers pinned to offsets. The compiler emits one DOU state per
  * active cycle, compresses idle gaps with the DOU's down-counters
- * (falling back to chained idle states when all four counters are
- * taken), checks for lane conflicts, and wires the segment switches
+ * (chaining counter waits when the gaps outnumber the counters),
+ * checks for lane conflicts, and wires the segment switches
  * to span exactly the tiles each transfer touches.
  */
 
@@ -17,6 +17,7 @@
 #define SYNC_MAPPING_COMM_SCHEDULE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/dou.hh"
@@ -97,6 +98,13 @@ EdgeSlots allocateEdgeSlots(const std::vector<unsigned> &slots_per_edge,
  */
 arch::DouState scheduleOutputAt(const CommSchedule &sched,
                                 uint64_t bus_cycle);
+
+/**
+ * Why no DOU state can encode some cycle of @p sched (a field out of
+ * range, a lane or a tile's drive or capture used twice), or "".
+ * compileSchedule() and scheduleOutputAt() fatal() with the reason.
+ */
+std::string scheduleFault(const CommSchedule &sched);
 
 } // namespace synchro::mapping
 

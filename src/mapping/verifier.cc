@@ -824,27 +824,29 @@ checkSlots(Analysis &a, VerifyReport &rep)
         }
     }
 
-    // Abstract DOU replay: run each column's compiled state machine
-    // for one full period with the exact Dou::step() rule, compare
-    // every cycle's SEG/Buffer outputs against the schedule's
-    // reference interpretation, and require the machine to return to
-    // its initial state — which extends the one-period proof to every
-    // later period by induction.
-    //
-    // The replay steps a state's whole stay at once. A wait state
-    // (nxt1 == itself) entered with counter value v holds its outputs
-    // for v + 1 cycles, then reloads and exits; an inert self-loop
-    // holds them to the period's end. The reference is all-zero
-    // except at the schedule's active cycles, so a stay is compared at
-    // those cycles (and at its first cycle when its own outputs are
-    // not quiet): the replay costs states plus active offsets, not
-    // bus cycles.
+    // DOU check: walk each column's trajectory for one period, compare
+    // every cycle's SEG/Buffer outputs with the schedule's reference
+    // interpretation, and require the machine back in its initial
+    // state — which extends the proof to every later period by
+    // induction. A run holds its outputs for its whole stay and the
+    // reference is all-zero off the active cycles, so a run is checked
+    // at the active cycles it spans and its first other cycle: runs
+    // plus active offsets, not bus cycles. A schedule no DOU state can
+    // encode is a finding, not a fatal() in the interpreter.
     for (const ColInfo &ci : a.cols) {
         const arch::DouProgram &dou = ci.col->dou;
         const CommSchedule &sched = ci.col->schedule;
         const std::string &actor = ci.stage->actor;
         if (dou.states.empty()) {
             err("actor '" + actor + "': empty DOU program");
+            continue;
+        }
+        arch::DouTrajectory traj;
+        std::string why = scheduleFault(sched);
+        if (why.empty())
+            why = arch::DouTrajectory::derive(dou, traj);
+        if (!why.empty()) {
+            err("actor '" + actor + "': " + why);
             continue;
         }
         // Bus cycles in [0, period) whose reference has a transfer:
@@ -859,132 +861,45 @@ checkSlots(Analysis &a, VerifyReport &rep)
         active.erase(std::unique(active.begin(), active.end()),
                      active.end());
 
-        unsigned st = 0;
-        std::array<uint32_t, arch::DouNumCounters> ctrs =
-            dou.counter_init;
         bool bad = false;
-        size_t ai = 0; // first active cycle >= cyc
-        for (uint64_t cyc = 0; cyc < prog.period;) {
-            if (st >= dou.states.size()) {
-                err(strprintf("actor '%s': DOU transitions to "
-                              "missing state %u",
-                              actor.c_str(), st));
-                bad = true;
-                break;
-            }
-            const arch::DouState &out = dou.states[st];
-            uint32_t &ctr = ctrs[out.cntr];
-            const uint32_t reload = dou.counter_init[out.cntr];
-            const bool inert = out.nxt0 == st && out.nxt1 == st;
-            const bool wait = out.nxt1 == st;
+        size_t ai = 0, run = 0; // first active cycle >= cyc; its run
+        uint64_t base = 0;
+        for (uint64_t cyc = 0; cyc < prog.period && !bad;
+             traj.next(run, base)) {
+            const arch::DouState &out = dou.states[traj.runs[run].state];
             const uint64_t stay_end =
-                inert ? prog.period
-                      : std::min<uint64_t>(
-                            prog.period,
-                            cyc + (wait ? uint64_t(ctr) + 1 : 1));
-
-            bool quiet = true;
-            for (uint8_t b : out.buf)
-                quiet = quiet && b == 0;
-            for (uint8_t s : out.seg)
-                quiet = quiet && s == 0;
-            for (uint64_t c = cyc; c < stay_end && !bad;) {
-                while (ai < active.size() && active[ai] < c)
+                std::min<uint64_t>(prog.period, traj.runEnd(run, base));
+            while (cyc < stay_end && !bad) {
+                while (ai < active.size() && active[ai] < cyc)
                     ++ai;
                 const bool is_active =
-                    ai < active.size() && active[ai] == c;
-                bool diverges = !quiet;
-                if (is_active) {
-                    const arch::DouState ref =
-                        scheduleOutputAt(sched, c);
-                    diverges = out.seg != ref.seg || out.buf != ref.buf;
-                }
-                if (diverges) {
+                    ai < active.size() && active[ai] == cyc;
+                arch::DouState ref;
+                if (is_active)
+                    ref = scheduleOutputAt(sched, cyc);
+                if (out.seg != ref.seg || out.buf != ref.buf) {
                     err(strprintf("actor '%s': DOU output diverges "
                                   "from its schedule at bus cycle "
                                   "%llu",
                                   actor.c_str(),
-                                  (unsigned long long)c));
+                                  (unsigned long long)cyc));
                     bad = true;
-                } else if (is_active) {
-                    ++c;
-                } else {
-                    c = ai < active.size()
-                            ? std::min(active[ai], stay_end)
-                            : stay_end;
                 }
+                if (is_active)
+                    ++cyc;
+                else
+                    cyc = ai < active.size() ? std::min(active[ai], stay_end)
+                                             : stay_end;
             }
-            if (bad)
-                break;
-
-            // Step the machine through the stay: the step rule
-            // (zero: reload, take nxt0; else decrement, take nxt1)
-            // applied stay_end - cyc times.
-            const uint64_t steps = stay_end - cyc;
-            if (inert) {
-                // Only the tested counter moves: down to zero, then
-                // round reload..0 again.
-                const uint64_t v = ctr, round = uint64_t(reload) + 1;
-                ctr = uint32_t(steps <= v
-                                   ? v - steps
-                                   : reload - (steps - v - 1) % round);
-            } else if (steps > ctr) {
-                ctr = reload;
-                st = out.nxt0;
-            } else {
-                ctr -= uint32_t(steps);
-                st = out.nxt1;
-            }
-            cyc = stay_end;
         }
+        unsigned st;
+        std::array<uint32_t, arch::DouNumCounters> ctrs;
+        traj.at(prog.period, st, ctrs);
         if (!bad && (st != 0 || ctrs != dou.counter_init)) {
             err("actor '" + actor +
                 "': DOU machine does not return to its initial "
                 "state after one period, so later periods diverge "
                 "from the schedule");
-        }
-    }
-
-    // Lookahead horizon: the Compiled window walk lets columns
-    // free-run between delivery slots, and the program declares the
-    // static floor of that window. Recompute the floor from the slot
-    // schedules themselves — the shortest run of delivery-free bus
-    // cycles between consecutive active offsets, circular over one
-    // period — and hold the declaration to it: a mis-declared
-    // horizon would let a scheduler trust a window the bus does not
-    // actually leave quiet.
-    {
-        std::set<unsigned> offs;
-        for (const ColInfo &ci : a.cols) {
-            for (const Transfer &t : ci.col->schedule.transfers) {
-                if (t.offset < prog.period)
-                    offs.insert(t.offset);
-            }
-        }
-        unsigned computed = prog.period;
-        if (!offs.empty()) {
-            std::vector<unsigned> v(offs.begin(), offs.end());
-            for (size_t i = 0; i < v.size(); ++i) {
-                unsigned next = i + 1 < v.size()
-                                    ? v[i + 1]
-                                    : v[0] + prog.period;
-                computed = std::min(computed, next - v[i] - 1);
-            }
-        }
-        if (prog.lookahead_horizon == 0) {
-            rep.add(Severity::Note, "slots",
-                    strprintf("program declares no lookahead "
-                              "horizon (schedule floor: %u quiet "
-                              "cycles between delivery slots); the "
-                              "window walk relies on its dynamic "
-                              "probe alone",
-                              computed));
-        } else if (prog.lookahead_horizon != computed) {
-            err(strprintf("declared lookahead horizon %u disagrees "
-                          "with the slot schedule (floor: %u quiet "
-                          "cycles between delivery slots); the "
-                          "window walk must not trust it",
-                          prog.lookahead_horizon, computed));
         }
     }
 

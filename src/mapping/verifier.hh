@@ -21,10 +21,10 @@
  *
  *  - "slots": global bus-slot conflict freedom — no two columns ever
  *    drive the same lane in the same bus cycle, every capture has
- *    exactly one matching drive, each column's compiled DOU program
- *    is replayed abstractly for one full period against the
- *    reference scheduleOutputAt() and must return to its initial
- *    machine state (so the proof extends to every later period), and
+ *    exactly one matching drive, each column's DOU trajectory is
+ *    walked for one full period against the reference
+ *    scheduleOutputAt() and must return to its initial machine state
+ *    (so the proof extends to every later period), and
  *    slots-as-ceiling feasibility: every edge's slot capacity covers
  *    its token rate at the lowering's grid pacing.
  *

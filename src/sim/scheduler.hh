@@ -141,9 +141,7 @@ class SchedModel
      * that are provably comm-free (no DOU drives or captures in any
      * of them), crediting statistics exactly as max refPhase() calls
      * would. Returns the phases consumed (0 = the next phase may
-     * move data and must run via refPhase()). It may walk through
-     * DOU state transitions, so it also covers active schedules
-     * between their bus slots.
+     * move data and must run via refPhase()).
      */
     virtual Tick
     commFreeAdvance(Tick max)

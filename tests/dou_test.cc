@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "apps/app_registry.hh"
 #include "arch/dou.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
+#include "mapping/comm_schedule.hh"
+#include "mapping/verifier.hh"
 
 using namespace synchro;
 using namespace synchro::arch;
@@ -151,4 +157,184 @@ TEST(Dou, LoadResetsState)
     dou.reset();
     EXPECT_EQ(dou.stateIndex(), 0u);
     EXPECT_EQ(dou.counter(0), 7u);
+}
+
+// ---------------------------------------------------------------
+// DouTrajectory against naive stepping: the trajectory is what the
+// Compiled backend reads DOU positions and bus phases off, so it
+// must agree with step() on every cycle.
+
+namespace
+{
+
+/**
+ * Step @p p for @p cycles and hold the trajectory to every cycle's
+ * state and counters; a second DOU seeks forward in uneven jumps and
+ * must land on the same positions with the same step count.
+ */
+void
+expectMatchesStepping(const DouProgram &p, uint64_t cycles,
+                      const std::string &what)
+{
+    Dou stepped(0), seeker(1);
+    stepped.load(p);
+    seeker.load(p);
+    const DouTrajectory &traj = *stepped.trajectory();
+    uint64_t next_seek = 0;
+    for (uint64_t cyc = 0; cyc < cycles; ++cyc) {
+        std::array<uint32_t, DouNumCounters> want;
+        for (unsigned i = 0; i < DouNumCounters; ++i)
+            want[i] = stepped.counter(i);
+        unsigned st;
+        std::array<uint32_t, DouNumCounters> ctrs;
+        traj.at(cyc, st, ctrs);
+        ASSERT_EQ(st, stepped.stateIndex()) << what << " cycle " << cyc;
+        ASSERT_EQ(ctrs, want) << what << " cycle " << cyc;
+        if (cyc == next_seek) {
+            seeker.seek(cyc);
+            ASSERT_EQ(seeker.stateIndex(), st) << what << " cycle " << cyc;
+            ASSERT_EQ(seeker.stats().value("steps"), cyc) << what;
+            next_seek += 1 + cyc % 7;
+        }
+        stepped.step();
+    }
+}
+
+/** Cycles covering the prefix and three periods (or some of an
+ * inert tail). */
+uint64_t
+coverage(const DouTrajectory &t)
+{
+    return t.prefix() + 3 * std::max<uint64_t>(t.period, 20) + 3;
+}
+
+} // namespace
+
+TEST(DouTrajectory, MatchesSteppingOnRandomPrograms)
+{
+    // Raw programs mixing wait states, inert self-loops, generic
+    // branches and states the machine never returns to (lasso
+    // prefixes), with small counters so the lassos stay short.
+    Rng rng(4242);
+    unsigned prefixes = 0, inert = 0, stays = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        DouProgram p;
+        const unsigned n = unsigned(rng.range(1, 8));
+        for (unsigned i = 0; i < n; ++i) {
+            DouState s;
+            s.cntr = uint8_t(rng.below(DouNumCounters));
+            s.buf[rng.below(4)] = uint8_t(rng.below(256));
+            const uint8_t any = uint8_t(rng.below(n));
+            switch (rng.below(8)) {
+              case 0:
+                s.nxt0 = s.nxt1 = uint8_t(i);
+                break;
+              case 1:
+              case 2:
+              case 3:
+                s.nxt1 = uint8_t(i);
+                s.nxt0 = any;
+                break;
+              default:
+                s.nxt0 = any;
+                s.nxt1 = uint8_t(rng.below(n));
+            }
+            p.states.push_back(s);
+        }
+        for (uint32_t &c : p.counter_init)
+            c = uint32_t(rng.chance(0.2) ? rng.below(60) : rng.below(4));
+
+        DouTrajectory traj;
+        ASSERT_EQ(DouTrajectory::derive(p, traj), "") << trial;
+        prefixes += traj.loop > 0;
+        inert += traj.period == 0;
+        for (size_t r = 0; r < traj.runs.size(); ++r)
+            stays += traj.runEnd(r, 0) - traj.runs[r].start > 1;
+        expectMatchesStepping(p, coverage(traj), strprintf("trial %d", trial));
+    }
+    EXPECT_GT(prefixes, 40u);
+    EXPECT_GT(inert, 40u);
+    EXPECT_GT(stays, 100u);
+}
+
+TEST(DouTrajectory, MatchesSteppingOnCompiledSchedules)
+{
+    Rng rng(777);
+    for (int trial = 0; trial < 60; ++trial) {
+        mapping::CommSchedule sched;
+        sched.period = unsigned(rng.range(2, 400));
+        sched.prologue = unsigned(rng.range(0, 50));
+        std::set<unsigned> offsets;
+        const unsigned n = unsigned(rng.range(1, 6));
+        for (unsigned i = 0; i < n; ++i)
+            offsets.insert(unsigned(rng.below(sched.period)));
+        for (unsigned off : offsets)
+            sched.transfers.push_back(
+                {off, unsigned(rng.below(8)), 0, {}, true});
+        DouProgram p = mapping::compileSchedule(sched);
+        DouTrajectory traj;
+        ASSERT_EQ(DouTrajectory::derive(p, traj), "");
+        EXPECT_EQ(traj.prefix(), traj.runs[traj.loop].start);
+        EXPECT_EQ(traj.period, sched.period) << trial;
+        expectMatchesStepping(p, coverage(traj), strprintf("trial %d", trial));
+    }
+}
+
+TEST(DouTrajectory, MatchesSteppingOnRegistryPrograms)
+{
+    for (const std::string &name : apps::AppRegistry::instance().names()) {
+        mapping::LoweredArtifact art =
+            apps::AppRegistry::instance().at(name).verifiable();
+        for (const mapping::ColumnProgram &col : art.prog.columns) {
+            DouTrajectory traj;
+            ASSERT_EQ(DouTrajectory::derive(col.dou, traj), "");
+            // Every registry DOU is back in its initial state after
+            // one grid period, in a handful of runs.
+            EXPECT_EQ(traj.loop, 0u) << name << " " << col.actor;
+            EXPECT_EQ(traj.period, art.prog.period)
+                << name << " " << col.actor;
+            EXPECT_LE(traj.runs.size(), 12u) << name << " " << col.actor;
+            expectMatchesStepping(col.dou, 2 * traj.period + 1,
+                                  name + " " + col.actor);
+        }
+    }
+}
+
+TEST(DouTrajectory, LoadRefusesAnUnrollPastTheBound)
+{
+    // Two states decrementing counters 0 and 1 in turn: (state,
+    // counters) first repeats after lcm(1001, 1002) visits each, far
+    // past DouMaxRuns runs.
+    DouProgram p;
+    DouState a, b;
+    a.cntr = 0;
+    a.nxt0 = a.nxt1 = 1;
+    b.cntr = 1;
+    p.states = {a, b};
+    p.counter_init = {1000, 1001, 0, 0};
+    Dou dou(3);
+    try {
+        dou.load(p);
+        FAIL() << "expected the trajectory bound to refuse the load";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "column 3: DOU trajectory does not repeat within "
+                      "65536 runs"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(DouTrajectory, DeriveReportsMalformedPrograms)
+{
+    // The verifier derives trajectories of programs no loader has
+    // validated: a dangling successor or counter is a message.
+    DouProgram p = DouProgram::idle();
+    p.states[0].nxt0 = p.states[0].nxt1 = 1;
+    DouTrajectory traj;
+    EXPECT_EQ(DouTrajectory::derive(p, traj),
+              "DOU transitions to missing state 1");
+    p = DouProgram::idle();
+    p.states[0].cntr = 7;
+    EXPECT_EQ(DouTrajectory::derive(p, traj), "DOU state 0 tests counter 7");
 }

@@ -248,6 +248,40 @@ TEST(Fuzz, RandomDouSchedulesCompileFaithfully)
     }
 }
 
+TEST(Fuzz, RandomOffsetLongScheduleChainsCounterWaits)
+{
+    // A motion-length period with transfers at random offsets has
+    // more distinct idle gaps than the DOU has counters. The gaps
+    // then chain counter waits: the program fits the DOU and its
+    // trajectory follows the reference interpreter for two periods.
+    Rng rng(26896);
+    mapping::CommSchedule sched;
+    sched.period = 26896;
+    sched.prologue = unsigned(rng.below(5000));
+    std::set<unsigned> offsets;
+    while (offsets.size() < 6)
+        offsets.insert(unsigned(rng.below(sched.period)));
+    for (unsigned off : offsets)
+        sched.transfers.push_back({off, unsigned(rng.below(8)),
+                                   int(rng.below(4)), {}, true});
+
+    arch::DouProgram prog = mapping::compileSchedule(sched);
+    arch::DouTrajectory traj;
+    ASSERT_EQ(arch::DouTrajectory::derive(prog, traj), "");
+    EXPECT_EQ(traj.period, sched.period);
+    size_t run = 0;
+    uint64_t base = 0;
+    for (uint64_t cyc = 0; cyc < sched.prologue + 2 * sched.period;
+         ++cyc) {
+        if (cyc == traj.runEnd(run, base))
+            traj.next(run, base);
+        const arch::DouState &got = prog.states[traj.runs[run].state];
+        const arch::DouState want = mapping::scheduleOutputAt(sched, cyc);
+        ASSERT_EQ(got.buf, want.buf) << "cycle " << cyc;
+        ASSERT_EQ(got.seg, want.seg) << "cycle " << cyc;
+    }
+}
+
 // ---------------------------------------------------------------
 // Coding gain (the reason the receiver carries a Viterbi decoder)
 

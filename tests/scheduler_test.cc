@@ -68,52 +68,6 @@ TEST(ClockEdges, NextEdgeIsStrictlyAfterAndOnEdge)
 }
 
 // ---------------------------------------------------------------
-// Dou::fastForwardCommFree must be arithmetically identical to n
-// step() calls — here through an inert self-loop, where the walk
-// takes its closed-form counter-wrap path.
-
-TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
-{
-    for (uint32_t init : {0u, 1u, 2u, 7u}) {
-        for (uint64_t n : {1ull, 2ull, 3ull, 7ull, 8ull, 100ull}) {
-            DouProgram p = DouProgram::idle();
-            p.counter_init[0] = init;
-
-            Dou stepped(0), skipped(1);
-            stepped.load(p);
-            skipped.load(p);
-
-            for (uint64_t i = 0; i < n; ++i)
-                stepped.step();
-            skipped.fastForwardCommFree(n);
-
-            EXPECT_EQ(skipped.counter(0), stepped.counter(0))
-                << "init " << init << " n " << n;
-            EXPECT_EQ(skipped.stateIndex(), stepped.stateIndex());
-            EXPECT_EQ(skipped.stats().value("steps"),
-                      stepped.stats().value("steps"));
-        }
-    }
-}
-
-TEST(DouSkip, RefusesActiveState)
-{
-    // One comm-free step, then a state whose tile 0 drives the bus:
-    // fast-forwarding past it would skip a transfer.
-    DouProgram p;
-    DouState s0;
-    s0.nxt0 = s0.nxt1 = 1;
-    DouState s1;
-    s1.buf[0] = 1;
-    s1.nxt0 = s1.nxt1 = 1;
-    p.states = {s0, s1};
-    Dou dou(0);
-    dou.load(p);
-    EXPECT_EQ(dou.commFreeRun(3), 1u);
-    EXPECT_THROW(dou.fastForwardCommFree(3), PanicError);
-}
-
-// ---------------------------------------------------------------
 // Whole-chip cross-checks: every backend must agree bit-for-bit with
 // the event queue on architectural state, statistics, final tick,
 // and exit reason. The comparison itself lives in test_util.hh
@@ -200,32 +154,92 @@ TEST(SchedulerEquivalence, CrossDomainCommunication)
     ChipConfig cfg;
     cfg.dividers = {1, 3};
     cfg.tiles_per_column = 1;
-    crossCheck(cfg, [](Chip &chip) {
-        chip.column(0).controller().loadProgram(assemble(R"(
+    // (period, prologue, offset) of the producer's and the consumer's
+    // slot: a consumer capturing every cycle, then one sparse shared
+    // slot, so the bus table's active phases end before its period
+    // does and the Compiled backend wraps to the next period.
+    const unsigned slots[][2][3] = {{{6, 0, 0}, {1, 0, 0}},
+                                    {{9, 2, 4}, {9, 2, 4}}};
+    for (const auto &slot : slots) {
+        crossCheck(cfg, [&](Chip &chip) {
+            chip.column(0).controller().loadProgram(assemble(R"(
+                movi r7, 0
+                lsetup lc0, e, 40
+                addi r7, 1
+                cwr r7
+            e:
+                halt
+            )"));
+            chip.column(1).controller().loadProgram(assemble(R"(
+                movi r1, 0
+                lsetup lc0, e, 40
+                crd r0
+                add r1, r1, r0
+            e:
+                halt
+            )"));
+            mapping::CommSchedule prod{slot[0][0], slot[0][1], {}};
+            prod.transfers = {{slot[0][2], 0, 0, {}, true}};
+            chip.column(0).dou().load(mapping::compileSchedule(prod));
+            mapping::CommSchedule cons{slot[1][0], slot[1][1], {}};
+            cons.transfers = {{slot[1][2], 0, -1, {0}, false}};
+            chip.column(1).dou().load(mapping::compileSchedule(cons));
+        });
+    }
+}
+
+TEST(SchedulerEquivalence, DouReloadBetweenRuns)
+{
+    // A consumer whose DOU is reloaded mid-stream: the Compiled
+    // backend re-merges the bus table from the DOUs' new positions
+    // and must land on the event queue's bits, DOU positions
+    // included.
+    auto build = [](SchedulerKind kind) {
+        ChipConfig cfg;
+        cfg.dividers = {1, 2};
+        cfg.tiles_per_column = 1;
+        cfg.scheduler = kind;
+        auto chip = std::make_unique<Chip>(cfg);
+        chip->column(0).controller().loadProgram(assemble(R"(
             movi r7, 0
-            lsetup lc0, e, 40
+            lsetup lc0, e, 30
             addi r7, 1
             cwr r7
         e:
             halt
         )"));
-        chip.column(1).controller().loadProgram(assemble(R"(
+        chip->column(1).controller().loadProgram(assemble(R"(
             movi r1, 0
-            lsetup lc0, e, 40
+            lsetup lc0, e, 30
             crd r0
             add r1, r1, r0
         e:
             halt
         )"));
         mapping::CommSchedule prod;
-        prod.period = 6;
-        prod.transfers = {{0, 0, 0, {}, true}};
-        chip.column(0).dou().load(mapping::compileSchedule(prod));
+        prod.period = 7;
+        prod.prologue = 3;
+        prod.transfers = {{2, 0, 0, {}, true}};
+        chip->column(0).dou().load(mapping::compileSchedule(prod));
         mapping::CommSchedule cons;
         cons.period = 1;
         cons.transfers = {{0, 0, -1, {0}, false}};
-        chip.column(1).dou().load(mapping::compileSchedule(cons));
-    });
+        chip->column(1).dou().load(mapping::compileSchedule(cons));
+        chip->run(61);
+        cons.period = 2;
+        cons.transfers = {{0, 0, -1, {0}, false}, {1, 0, -1, {0}, false}};
+        chip->column(1).dou().load(mapping::compileSchedule(cons));
+        chip->run(100'000);
+        return chip;
+    };
+    auto ref = build(SchedulerKind::EventQueue);
+    auto chip = build(SchedulerKind::Compiled);
+    EXPECT_TRUE(ref->allHalted());
+    EXPECT_EQ(chip->curTick(), ref->curTick());
+    EXPECT_EQ(allStats(*chip), allStats(*ref));
+    EXPECT_EQ(synchro::test::allRegs(*chip), synchro::test::allRegs(*ref));
+    EXPECT_EQ(synchro::test::allDouStates(*chip),
+              synchro::test::allDouStates(*ref));
 }
 
 TEST(SchedulerEquivalence, TickLimitAndResume)

@@ -77,9 +77,28 @@ allRegs(arch::Chip &chip)
 }
 
 /**
+ * Every column's DOU position: state index, then its counters. The
+ * Compiled backend reads these off the bus table, the EventQueue
+ * backend steps the machine.
+ */
+inline std::vector<uint32_t>
+allDouStates(const arch::Chip &chip)
+{
+    std::vector<uint32_t> out;
+    for (unsigned c = 0; c < chip.numColumns(); ++c) {
+        const arch::Dou &dou = chip.column(c).dou();
+        out.push_back(dou.stateIndex());
+        for (unsigned i = 0; i < arch::DouNumCounters; ++i)
+            out.push_back(dou.counter(i));
+    }
+    return out;
+}
+
+/**
  * Build a chip per backend via @p configure, run each to completion,
- * and EXPECT bit-identical exit reason, final tick, statistics and
- * register state against the EventQueue reference.
+ * and EXPECT bit-identical exit reason, final tick, statistics,
+ * register state and DOU positions against the EventQueue
+ * reference.
  */
 inline void
 crossCheckBackends(arch::ChipConfig cfg,
@@ -105,6 +124,7 @@ crossCheckBackends(arch::ChipConfig cfg,
         EXPECT_EQ(chip.curTick(), reference.curTick()) << name;
         EXPECT_EQ(allStats(chip), allStats(reference)) << name;
         EXPECT_EQ(allRegs(chip), allRegs(reference)) << name;
+        EXPECT_EQ(allDouStates(chip), allDouStates(reference)) << name;
     }
 }
 

@@ -232,50 +232,45 @@ TEST(Verifier, CommittedReportsArePinned)
     };
     const std::vector<Pinned> want = {
         {"ddc", false,
-         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
 )"},
         {"ddc", true,
-         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
 )"},
         {"motion", true,
-         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
 )"},
         {"motion", false,
-         R"(static verification: PASS (0 errors, 1 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 1 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
   [warning] tokens: drop-new overrun freedom not statically provable: some program's issue timing is data-dependent; the runner's fabric asserts cover it dynamically
 )"},
         {"stereo", true,
-         R"(static verification: PASS (0 errors, 0 warnings, 6 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 5 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
   [note] tags: actor 'sad-0': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
   [note] tags: actor 'sad-1': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
   [note] tags: actor 'sad-2': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
@@ -283,13 +278,12 @@ TEST(Verifier, CommittedReportsArePinned)
   [note] tokens: deadlock freedom not statically provable: some comm sequence is data-dependent; the runner's drain asserts cover it dynamically
 )"},
         {"stereo", false,
-         R"(static verification: PASS (0 errors, 1 warnings, 5 notes)
+         R"(static verification: PASS (0 errors, 1 warnings, 4 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
   [note] tags: actor 'sad-0': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
   [note] tags: actor 'sad-1': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
   [note] tags: actor 'sad-2': data-dependent branch at pc 15 spans communication; token counts checked by lane membership only
@@ -297,41 +291,37 @@ TEST(Verifier, CommittedReportsArePinned)
   [warning] tokens: drop-new overrun freedom not statically provable: some program's issue timing is data-dependent; the runner's fabric asserts cover it dynamically
 )"},
         {"wifi", true,
-         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
 )"},
         {"wifi", false,
-         R"(static verification: PASS (0 errors, 1 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 1 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
   [warning] tokens: drop-new overrun freedom not statically provable: some program's issue timing is data-dependent; the runner's fabric asserts cover it dynamically
 )"},
         {"diamond", true,
-         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
 )"},
         {"diamond", false,
-         R"(static verification: PASS (0 errors, 0 warnings, 1 notes)
+         R"(static verification: PASS (0 errors, 0 warnings, 0 notes)
   program: pass
   slots:   pass
   tags:    pass
   tokens:  pass
   zorm:    pass
-  [note] slots: program declares no lookahead horizon (schedule floor: 0 quiet cycles between delivery slots); the window walk relies on its dynamic probe alone
 )"},
     };
 
@@ -538,44 +528,6 @@ TEST(Verifier, ConflictingSlotAssignmentRejected)
         << rep.errorSummary();
 }
 
-TEST(Verifier, LookaheadHorizonDisagreementRejected)
-{
-    // A single-edge chain has one slot per period, so the schedule's
-    // comm-quiet floor is period-1 — a nonzero horizon the lowering
-    // must export and the verifier must recompute.
-    ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
-                             {ZormSetting{}, ZormSetting{}});
-    auto stages = twoActorStages(100);
-    auto prog = lowerPipeline(stages, plan, 20e6);
-    DagSpec spec = linearDagSpec(stages);
-
-    ASSERT_GT(prog.lookahead_horizon, 0u);
-    EXPECT_EQ(prog.lookahead_horizon, prog.period - 1);
-    VerifyReport base = verifyLowered(spec, plan, prog, 20e6, 1.4);
-    EXPECT_TRUE(base.ok()) << base.render();
-
-    // Declare one phase more lookahead than the slot schedule
-    // supports: a runtime trusting it could free-run a column
-    // through a delivery slot. The verifier must recompute the
-    // floor from the slots themselves and reject the disagreement.
-    prog.lookahead_horizon += 1;
-    VerifyReport rep = verifyLowered(spec, plan, prog, 20e6, 1.4);
-    EXPECT_FALSE(rep.ok());
-    EXPECT_FALSE(rep.checkPassed("slots"));
-    EXPECT_NE(rep.errorSummary().find("lookahead horizon"),
-              std::string::npos)
-        << rep.errorSummary();
-
-    // Declaring no horizon at all is legal (a Note, not an error):
-    // the Compiled window walk then relies on its dynamic
-    // comm-quiet probe alone.
-    prog.lookahead_horizon = 0;
-    VerifyReport none = verifyLowered(spec, plan, prog, 20e6, 1.4);
-    EXPECT_TRUE(none.ok()) << none.render();
-    EXPECT_TRUE(none.checkPassed("slots"));
-    EXPECT_NE(none.render().find("no lookahead"), std::string::npos);
-}
-
 TEST(Verifier, OverrunReachableBufferBoundRejected)
 {
     // On the legacy (drop-new) bus, a consumer that computes ~200
@@ -648,6 +600,36 @@ TEST(Verifier, DouThatMissesItsInitialStateRejected)
                   "to its initial state after one period, so later "
                   "periods diverge from the schedule")
             << delta;
+    }
+}
+
+TEST(Verifier, DuplicateTileSlotIsAFindingNotAThrow)
+{
+    // A tile that drives (or captures) twice in one bus cycle, on two
+    // lanes, is a schedule no DOU state can encode: the verifier must
+    // report it under "slots" instead of dying in the reference
+    // interpreter.
+    for (const LoweredArtifact &clean : registryArtifacts()) {
+        for (size_t c = 0; c < clean.prog.columns.size(); ++c) {
+            LoweredArtifact art = clean;
+            CommSchedule &sched = art.prog.columns[c].schedule;
+            ASSERT_FALSE(sched.transfers.empty());
+            Transfer dup = sched.transfers.front();
+            dup.lane = (dup.lane + 1) % arch::BusLanes;
+            sched.transfers.push_back(dup);
+
+            VerifyReport rep;
+            ASSERT_NO_THROW(rep = art.verify()) << art.name << " " << c;
+            EXPECT_FALSE(rep.checkPassed("slots")) << art.name;
+            EXPECT_NE(rep.errorSummary().find(strprintf(
+                          "actor '%s': schedule: tile 0 %s twice at "
+                          "offset %u",
+                          art.prog.columns[c].actor.c_str(),
+                          dup.src_tile >= 0 ? "drives" : "captures",
+                          dup.offset)),
+                      std::string::npos)
+                << rep.errorSummary();
+        }
     }
 }
 
