@@ -23,8 +23,8 @@ BusFabric::BusFabric(unsigned n_columns, bool strict,
 {
 }
 
-CyclePlan
-buildPlan(const std::vector<const DouState *> &states)
+void
+buildPlan(const std::vector<const DouState *> &states, CyclePlan &plan)
 {
     // Only lanes with a scheduled drive do anything in cycle().
     uint32_t drive_lanes = 0;
@@ -35,28 +35,33 @@ buildPlan(const std::vector<const DouState *> &states)
                 drive_lanes |= 1u << ctl.drive_lane;
         }
     }
-    CyclePlan plan;
+    plan.n = 0;
     for (unsigned lane = 0; lane < BusLanes; ++lane) {
         if (!(drive_lanes & (1u << lane)))
             continue;
+        if (plan.n == plan.lanes.size())
+            plan.lanes.emplace_back();
+        LanePlan &lp = plan.lanes[plan.n++];
+        lp.lane = uint8_t(lane);
+        lp.drivers.clear();
+        lp.captures.clear();
         // Segment groups on this lane: closed switches chain a
         // column's tile positions into intervals, and a closed
         // boundary switch joins position 0's interval to the one
-        // horizontal bus (group 0). group_nodes counts each group's
-        // nodes, the input of wire-span accounting.
+        // horizontal bus (group 0). Each group's node count is the
+        // input of wire-span accounting.
         const unsigned bit = 1u << (lane / 2);
-        LanePlan lp;
-        lp.lane = uint8_t(lane);
-        lp.group_nodes = {1};
+        std::vector<uint32_t> &raw = plan.raw_nodes;
+        raw.assign(1, 1);
         for (unsigned c = 0; c < states.size(); ++c) {
             uint16_t group = 0;
             for (unsigned t = 0; t < TilesPerColumn; ++t) {
                 const uint8_t sw = states[c]->seg[t == 0 ? 3 : t - 1];
                 if (!(sw & bit)) {
-                    group = uint16_t(lp.group_nodes.size());
-                    lp.group_nodes.push_back(0);
+                    group = uint16_t(raw.size());
+                    raw.push_back(0);
                 }
-                ++lp.group_nodes[group];
+                ++raw[group];
                 const BufferCtl ctl = BufferCtl::fromByte(states[c]->buf[t]);
                 const LanePlan::Slot s{uint8_t(c), uint8_t(t), group};
                 if (ctl.drive && ctl.drive_lane == lane)
@@ -67,21 +72,19 @@ buildPlan(const std::vector<const DouState *> &states)
         }
         // Renumber densely over the groups a slot touches: cycle()
         // visits every group of the plan on every active phase.
-        std::vector<int> dense(lp.group_nodes.size(), -1);
-        std::vector<uint32_t> nodes;
+        plan.dense.assign(raw.size(), -1);
+        lp.group_nodes.clear();
         for (auto *slots : {&lp.drivers, &lp.captures}) {
             for (LanePlan::Slot &s : *slots) {
-                if (dense[s.group] < 0) {
-                    dense[s.group] = int(nodes.size());
-                    nodes.push_back(lp.group_nodes[s.group]);
+                int &d = plan.dense[s.group];
+                if (d < 0) {
+                    d = int(lp.group_nodes.size());
+                    lp.group_nodes.push_back(raw[s.group]);
                 }
-                s.group = uint16_t(dense[s.group]);
+                s.group = uint16_t(d);
             }
         }
-        lp.group_nodes = std::move(nodes);
-        plan.push_back(std::move(lp));
     }
-    return plan;
 }
 
 void
@@ -275,7 +278,7 @@ BusTable::build(std::vector<TrajectoryPtr> trajs,
         if (any) {
             auto [it, fresh] = plan_of.emplace(key, t->plans.size());
             if (fresh)
-                t->plans.push_back(buildPlan(states));
+                buildPlan(states, t->plans.emplace_back());
             t->active.push_back({x, next, it->second});
         }
         x = next;

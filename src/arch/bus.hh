@@ -57,10 +57,30 @@ struct LanePlan
     std::vector<Slot> captures; //!< same order
     std::vector<uint32_t> group_nodes; //!< per group: node count
 };
-using CyclePlan = std::vector<LanePlan>; //!< lanes with a drive
 
-/** Resolve the plan for one DOU output per column. */
-CyclePlan buildPlan(const std::vector<const DouState *> &states);
+/**
+ * How every lane with a drive resolves, in lane order. buildPlan()
+ * refills a plan in place: the lanes past `n` and every vector keep
+ * their capacity, so a caller that resolves each bus-active cycle
+ * into one plan stops allocating once the capacities are reached.
+ */
+struct CyclePlan
+{
+    std::vector<LanePlan> lanes;
+    size_t n = 0; //!< lanes in use
+
+    const LanePlan *begin() const { return lanes.data(); }
+    const LanePlan *end() const { return lanes.data() + n; }
+
+    // buildPlan() scratch: one lane's segment-group node counts and
+    // their dense renumbering.
+    std::vector<uint32_t> raw_nodes;
+    std::vector<int> dense;
+};
+
+/** Resolve into @p plan the bus for one DOU output per column. */
+void buildPlan(const std::vector<const DouState *> &states,
+               CyclePlan &plan);
 
 /** Each column's tiles by position (nullptr if absent). */
 using ColumnTiles = std::vector<std::vector<Tile *>>;

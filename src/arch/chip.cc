@@ -65,7 +65,8 @@ Chip::refPhase()
     // against the outputs they all produced for this cycle.
     for (unsigned c = 0; c < columns_.size(); ++c)
         states_[c] = &columns_[c]->dou().step();
-    fabric_.cycle(buildPlan(states_), tiles_);
+    buildPlan(states_, plan_);
+    fabric_.cycle(plan_, tiles_);
 }
 
 Tick
@@ -206,11 +207,16 @@ Chip::run(Tick max_ticks)
         return {RunExit::AllHalted, sched_->curTick()};
 
     // Tile population only changes between runs; refresh the bus
-    // views once here instead of re-allocating them every tick.
+    // views once here instead of re-allocating them every tick, and
+    // give every tile that can now execute its SRAM (the datapath
+    // never checks).
     tiles_.resize(columns_.size());
     states_.resize(columns_.size());
-    for (unsigned c = 0; c < columns_.size(); ++c)
+    for (unsigned c = 0; c < columns_.size(); ++c) {
         tiles_[c] = columns_[c]->busTiles();
+        for (Tile *t : columns_[c]->activeTiles())
+            t->allocMem();
+    }
 
     if (cfg_.scheduler == SchedulerKind::Compiled) {
         bus_ = busTable(phase_);

@@ -128,8 +128,10 @@ class Chip : private SchedModel
      * Deep-copy a programmed, not-yet-run chip — the fleet layer's
      * warm start: codegen + program load + decode ran once on the
      * template, and every clone snapshots the resulting state
-     * (programs, DOU schedules, ZORM, tile SRAM, supply gating)
-     * without re-running any of it. The clone gets fresh statistics
+     * (programs, DOU schedules, ZORM, allocated tile SRAM, supply
+     * gating) without re-running any of it. Decoded programs, their
+     * thunk tables, DOU trajectories and the bus table are shared,
+     * not copied; a tile with no SRAM stays without. The clone gets fresh statistics
      * (all zero, like a freshly built chip) and its own scheduler,
      * and is bit-identical to a fresh build + load on every backend.
      * fatal() once this chip has advanced past tick 0: run state is
@@ -210,9 +212,11 @@ class Chip : private SchedModel
     std::vector<std::unique_ptr<Column>> columns_;
     BusFabric fabric_;
 
-    // refPhase() scratch, refreshed by run().
+    // refPhase() scratch, refreshed by run(); EventQueue resolves
+    // each bus-active cycle into plan_.
     ColumnTiles tiles_;
     std::vector<const DouState *> states_;
+    CyclePlan plan_;
 
     mutable std::mutex table_mu_;
     mutable std::shared_ptr<const BusTable> table_;

@@ -103,9 +103,10 @@ class Column
 
     /**
      * Snapshot @p other's programmed state into this column:
-     * controller, DOU, every tile (including SRAM) and the tile
-     * supply-gating flags. Statistics are NOT copied. The columns
-     * must have the same tile population; Chip::clone() drives this.
+     * controller, DOU, every tile (including allocated SRAM) and
+     * the tile supply-gating flags. Statistics are NOT copied. The
+     * columns must have the same tile population; Chip::clone()
+     * drives this.
      */
     void copyStateFrom(const Column &other);
 

@@ -29,14 +29,12 @@ SimdController::loadProgram(const isa::Program &prog)
     if (prog.insts.empty())
         fatal("column %u: empty program", column_);
     prog_ = isa::decodeProgram(prog);
-    fns_.clear();
-    fns_.reserve(prog_->uops.size());
-    loop_fns_.clear();
-    loop_fns_.reserve(prog_->uops.size());
+    auto thunks = std::make_shared<Thunks>();
     for (const MicroOp &u : prog_->uops) {
-        fns_.push_back(Tile::opThunk(u.kind));
-        loop_fns_.push_back(Tile::opLoopThunk(u.kind));
+        thunks->fns.push_back(Tile::opThunk(u.kind));
+        thunks->loop.push_back(Tile::opLoopThunk(u.kind));
     }
+    thunks_ = std::move(thunks);
     reset();
 }
 
@@ -55,8 +53,7 @@ void
 SimdController::copyStateFrom(const SimdController &other)
 {
     prog_ = other.prog_;
-    fns_ = other.fns_;
-    loop_fns_ = other.loop_fns_;
+    thunks_ = other.thunks_;
     pc_ = other.pc_;
     halted_ = other.halted_;
     stall_ = other.stall_;
@@ -227,7 +224,7 @@ SimdController::cycle(const std::vector<Tile *> &tiles)
 
     ++issued_;
     for (Tile *t : tiles)
-        t->execute(uop);
+        t->issue(uop);
     advancePc();
 }
 
@@ -319,7 +316,7 @@ SimdController::cycleBlock(const std::vector<Tile *> &tiles,
                 }
 
                 const MicroOp *uops = prog_->uops.data() + u.start;
-                const Tile::OpFn *fns = fns_.data() + u.start;
+                const Tile::OpFn *fns = thunks_->fns.data() + u.start;
                 const uint64_t ctrl_nops =
                     prog_->nop_prefix[u.end] - prog_->nop_prefix[u.start];
                 const uint64_t mems =
@@ -327,7 +324,7 @@ SimdController::cycleBlock(const std::vector<Tile *> &tiles,
                 const uint64_t macs =
                     prog_->mac_prefix[u.end] - prog_->mac_prefix[u.start];
                 if (body == 1) {
-                    const Tile::OpLoopFn lf = loop_fns_[u.start];
+                    const Tile::OpLoopFn lf = thunks_->loop[u.start];
                     for (Tile *t : tiles) {
                         t->executeLoopOp(lf, uops[0], iters,
                                          iters * (1 - ctrl_nops),
@@ -372,7 +369,7 @@ SimdController::cycleBlock(const std::vector<Tile *> &tiles,
         }
 
         const MicroOp *uops = prog_->uops.data() + pc_;
-        const Tile::OpFn *fns = fns_.data() + pc_;
+        const Tile::OpFn *fns = thunks_->fns.data() + pc_;
         const uint64_t ctrl_nops =
             prog_->nop_prefix[pc_ + issues] - prog_->nop_prefix[pc_];
         const uint64_t mems =

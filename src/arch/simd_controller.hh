@@ -115,8 +115,9 @@ class SimdController
     void reset();
 
     /**
-     * Snapshot @p other's decoded program (shared, refcounted — no
-     * re-decode), thunk tables, PC/halt/stall position, loop units,
+     * Snapshot @p other's decoded program and thunk tables (both
+     * immutable and shared, refcounted — no re-decode, no copy),
+     * PC/halt/stall position, loop units,
      * ZORM configuration and CC mode into this controller.
      * Statistics are NOT copied. Chip::clone() drives this.
      */
@@ -145,10 +146,16 @@ class SimdController
     void zormWindow(uint64_t want_issues, Tick avail,
                     uint64_t &issues, uint64_t &nops);
 
+    /** Per-pc executors of prog_, fixed at loadProgram(). */
+    struct Thunks
+    {
+        std::vector<Tile::OpFn> fns;      //!< opThunk()s for blocks
+        std::vector<Tile::OpLoopFn> loop; //!< opLoopThunk()s
+    };
+
     unsigned column_;
     std::shared_ptr<const isa::DecodedProgram> prog_;
-    std::vector<Tile::OpFn> fns_; //!< per-pc opThunk()s for blocks
-    std::vector<Tile::OpLoopFn> loop_fns_; //!< per-pc opLoopThunk()s
+    std::shared_ptr<const Thunks> thunks_; //!< shared like prog_
 
     uint32_t pc_ = 0;
     bool halted_ = true;

@@ -14,7 +14,7 @@ using isa::MicroOp;
 using isa::UopKind;
 
 Tile::Tile(unsigned column, unsigned index)
-    : column_(column), index_(index), mem_(MemBytes, 0),
+    : column_(column), index_(index),
       instructions_(stats_.counter("instructions")),
       mem_ops_(stats_.counter("memOps")),
       mac_ops_(stats_.counter("macOps"))
@@ -69,6 +69,7 @@ Tile::writeMem(uint32_t addr, const void *data, uint32_t len)
     if (uint64_t(addr) + len > MemBytes)
         fatal("tile (%u,%u): writeMem [%u, %u) beyond %u-byte SRAM",
               column_, index_, addr, addr + len, MemBytes);
+    allocMem();
     std::memcpy(mem_.data() + addr, data, len);
 }
 
@@ -78,7 +79,10 @@ Tile::readMem(uint32_t addr, void *data, uint32_t len) const
     if (uint64_t(addr) + len > MemBytes)
         fatal("tile (%u,%u): readMem [%u, %u) beyond %u-byte SRAM",
               column_, index_, addr, addr + len, MemBytes);
-    std::memcpy(data, mem_.data() + addr, len);
+    if (mem_.empty())
+        std::memset(data, 0, len);
+    else
+        std::memcpy(data, mem_.data() + addr, len);
 }
 
 void
@@ -110,6 +114,13 @@ Tile::readMemHalves(uint32_t addr, uint32_t n) const
 }
 
 void
+Tile::allocMem()
+{
+    if (mem_.empty())
+        mem_.assign(MemBytes, 0);
+}
+
+void
 Tile::resetState()
 {
     regs_.fill(0);
@@ -134,7 +145,10 @@ Tile::copyStateFrom(const Tile &other)
     pregs_ = other.pregs_;
     accs_ = other.accs_;
     cc_ = other.cc_;
-    mem_ = other.mem_;
+    if (other.mem_.empty())
+        std::vector<uint8_t>().swap(mem_);
+    else
+        mem_ = other.mem_;
     wbuf_ = other.wbuf_;
     rbufs_ = other.rbufs_;
 }
@@ -188,7 +202,7 @@ Tile::execute(const Inst &inst)
 
 /**
  * The single source of op semantics: one specialization per
- * executable UopKind. execute() dispatches through a switch (the
+ * executable UopKind. issue() dispatches through a switch (the
  * per-slot interpreter) and the Compiled backend calls the same
  * functions through opThunk() pointers, so the two paths cannot
  * drift apart. Activity counters live in the callers.
@@ -429,6 +443,13 @@ Tile::opLoopThunk(UopKind kind)
 
 void
 Tile::execute(const MicroOp &uop)
+{
+    allocMem();
+    issue(uop);
+}
+
+void
+Tile::issue(const MicroOp &uop)
 {
     ++instructions_;
     switch (uop.kind) {

@@ -4,7 +4,10 @@
  *
  * The tile is a simple single-issue Blackfin-style datapath: R0-R7,
  * P0-P5, two 40-bit accumulators, a CC flag, and 32 KB of local data
- * SRAM. It has no fetch/decode of its own — the column's SIMD
+ * SRAM. Idle tiles are supply-gated and hold no live state (paper
+ * Sections 2.2 and 4.4), so a tile owns no SRAM until it is first
+ * written or can first execute; until then it reads as zeros. It
+ * has no fetch/decode of its own — the column's SIMD
  * controller broadcasts decoded instructions (paper Section 2.2) and
  * the tile merely executes them against private state. R7 is the
  * designated communication register; `cwr`/`crd` move data through the
@@ -62,25 +65,44 @@ class Tile
 
     /// @name Local SRAM access
     /// @{
+    /** Write @p len bytes at @p addr, allocating the SRAM first. */
     void writeMem(uint32_t addr, const void *data, uint32_t len);
+    /** Read @p len bytes at @p addr; a tile with no SRAM reads 0s. */
     void readMem(uint32_t addr, void *data, uint32_t len) const;
     void writeMemWords(uint32_t addr, const std::vector<int32_t> &w);
     std::vector<int32_t> readMemWords(uint32_t addr, uint32_t n) const;
     void writeMemHalves(uint32_t addr, const std::vector<int16_t> &h);
     std::vector<int16_t> readMemHalves(uint32_t addr, uint32_t n) const;
+
+    /** True once the tile owns its SRAM. */
+    bool hasMem() const { return !mem_.empty(); }
+
+    /**
+     * Allocate the SRAM, zeroed, if the tile has none. Executing
+     * tiles must own it: the chip calls this on every active tile
+     * before it runs them, so the datapath never checks.
+     */
+    void allocMem();
     /// @}
 
     /**
-     * Execute one pre-decoded non-control micro-op — the broadcast
-     * fast path. The caller (SIMD controller) has already resolved
-     * hazards; executing `crd` with an empty read buffer or `cwr`
-     * with a full write buffer is a panic here, as is a control
-     * micro-op reaching a tile.
+     * Execute one pre-decoded non-control micro-op — the SIMD
+     * controller's per-slot broadcast path. The caller has already
+     * resolved hazards; executing `crd` with an empty read buffer or
+     * `cwr` with a full write buffer is a panic here, as is a control
+     * micro-op reaching a tile. The tile must own its SRAM
+     * (allocMem()).
+     */
+    void issue(const isa::MicroOp &uop);
+
+    /**
+     * For tests and single-shot callers on a bare tile: allocMem(),
+     * then issue() @p uop.
      */
     void execute(const isa::MicroOp &uop);
 
     /**
-     * Convenience for tests and single-shot callers: decode (with
+     * For tests and single-shot callers on a bare tile: decode (with
      * full operand validation) and execute one instruction.
      */
     void execute(const isa::Inst &inst);
@@ -161,14 +183,19 @@ class Tile
     /** Reset architectural state (not SRAM contents). */
     void resetState();
 
-    /** Zero the whole SRAM (stream refeed between work items). */
+    /**
+     * Zero the whole SRAM (stream refeed between work items); a
+     * tile with no SRAM stays without.
+     */
     void clearMem();
 
     /**
      * Snapshot @p other's architectural state and SRAM into this
      * tile: registers, accumulators, CC, memory, write buffer and
-     * per-lane read buffers. Statistics are NOT copied — a clone
-     * starts counting from zero. Chip::clone() drives this.
+     * per-lane read buffers. SRAM is copied only if @p other owns
+     * some; otherwise this tile is left owning none. Statistics are
+     * NOT copied — a clone starts counting from zero. Chip::clone()
+     * drives this.
      */
     void copyStateFrom(const Tile &other);
 
@@ -261,7 +288,7 @@ class Tile
     std::array<int64_t, isa::NumAccums> accs_{};
     bool cc_ = false;
 
-    std::vector<uint8_t> mem_;
+    std::vector<uint8_t> mem_; //!< MemBytes, or empty (no SRAM yet)
     CommBuffer wbuf_;
     std::array<CommBuffer, BusLanes> rbufs_; //!< one per lane
 

@@ -328,8 +328,10 @@ FleetExecutor::finishStream(Stream &s, Worker &shard)
     // shard, then release the chip. A stream's chip lives from its
     // first item to its last, so peak memory tracks the streams
     // admitted and not yet finished: admitting every stream up front
-    // keeps every multi-item stream's chip live at once (~0.7 MB
-    // each; 128 streams of 4 items peak near 94 MB).
+    // keeps every multi-item stream's chip live at once. Only
+    // active tiles own SRAM, so a served chip holds ~0.1-0.2 MB
+    // (motion 107 KB to stereo 216 KB); 128 streams of 4 items
+    // peak near 29 MB.
     if (s.chip) {
         s.chip->forEachStat(
             [&shard](const std::string &name, uint64_t v) {

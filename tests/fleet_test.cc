@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -596,4 +597,92 @@ TEST(Fleet, CloneAfterRunningIsRejected)
     auto again = chip->clone();
     EXPECT_EQ(int(again->run(wl.tick_limit).exit),
               int(RunExit::AllHalted));
+}
+
+namespace
+{
+
+/** Every gated tile of @p chip owns no SRAM and reads as zeros. */
+void
+expectGatedTilesOwnNoSram(const Chip &chip)
+{
+    for (unsigned c = 0; c < chip.numColumns(); ++c) {
+        const Column &col = chip.column(c);
+        for (unsigned t = 0; t < col.numTiles(); ++t) {
+            if (col.tileActive(t))
+                continue;
+            EXPECT_FALSE(col.tile(t).hasMem()) << c << "," << t;
+            EXPECT_EQ(col.tile(t).readMemWords(0, 2),
+                      (std::vector<int32_t>{0, 0}))
+                << c << "," << t;
+        }
+    }
+}
+
+/** One registry fleet view per app, at test-sized shapes. */
+std::vector<sim::FleetWorkload>
+registryWorkloads()
+{
+    apps::DdcPipelineParams dp;
+    dp.samples = 64;
+    apps::WifiPipelineParams wp;
+    wp.symbols = 2;
+    const apps::AppRegistry &reg = apps::AppRegistry::instance();
+    std::vector<sim::FleetWorkload> out;
+    for (const std::string &name : reg.names()) {
+        std::any params;
+        if (name == "ddc")
+            params = dp;
+        else if (name == "wifi")
+            params = wp;
+        out.push_back(reg.at(name).fleet(params));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Fleet, GatedTilesOwnNoSramInTemplatesAndClones)
+{
+    // Supply-gated tiles hold no state, so neither a registry
+    // template nor its clone allocates their SRAM — not at load,
+    // not after serving an item.
+    for (const sim::FleetWorkload &wl : registryWorkloads()) {
+        SCOPED_TRACE(wl.name);
+        auto tmpl = wl.build(defaultSchedulerKind());
+        unsigned gated = 0;
+        for (unsigned c = 0; c < tmpl->numColumns(); ++c) {
+            for (unsigned t = 0; t < tmpl->column(c).numTiles(); ++t)
+                gated += !tmpl->column(c).tileActive(t);
+        }
+        EXPECT_GT(gated, 0u);
+        expectGatedTilesOwnNoSram(*tmpl);
+
+        auto chip = tmpl->clone();
+        expectGatedTilesOwnNoSram(*chip);
+        wl.feed(*chip, 1);
+        ASSERT_EQ(int(chip->run(wl.tick_limit).exit),
+                  int(RunExit::AllHalted));
+        EXPECT_EQ(wl.read_output(*chip), wl.golden(1));
+        expectGatedTilesOwnNoSram(*chip);
+        expectGatedTilesOwnNoSram(*tmpl);
+    }
+}
+
+TEST(Fleet, CloneSramWritesLeaveTemplateUnchanged)
+{
+    sim::FleetWorkload wl = registryWorkloads().front();
+    auto tmpl = wl.build(defaultSchedulerKind());
+    const Tile &src = tmpl->column(0).tile(0);
+    ASSERT_TRUE(src.hasMem());
+    const auto before = src.readMemWords(0, Tile::MemBytes / 4);
+
+    auto chip = tmpl->clone();
+    Tile &dst = chip->column(0).tile(0);
+    EXPECT_EQ(dst.readMemWords(0, Tile::MemBytes / 4), before);
+    dst.writeMemWords(0, std::vector<int32_t>(Tile::MemBytes / 4, -1));
+    wl.feed(*chip, 2);
+    ASSERT_EQ(int(chip->run(wl.tick_limit).exit),
+              int(RunExit::AllHalted));
+    EXPECT_EQ(src.readMemWords(0, Tile::MemBytes / 4), before);
 }

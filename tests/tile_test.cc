@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "arch/tile.hh"
 #include "common/log.hh"
 #include "isa/inst.hh"
+#include "test_util.hh"
 
 using namespace synchro;
 using namespace synchro::arch;
@@ -337,4 +341,159 @@ TEST_F(TileTest, MemoryHelpersRoundTrip)
     std::vector<int32_t> w{100, -200};
     t.writeMemWords(0x80, w);
     EXPECT_EQ(t.readMemWords(0x80, 2), w);
+}
+
+namespace
+{
+
+/** The message of the FatalError @p fn throws ("" if none). */
+std::string
+fatalMessage(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(TileMemory, SramIsAllocatedOnFirstWrite)
+{
+    Tile t{1, 3};
+    EXPECT_FALSE(t.hasMem());
+    // A tile without SRAM reads as zeros and clears to nothing.
+    EXPECT_EQ(t.readMemWords(Tile::MemBytes - 8, 2),
+              (std::vector<int32_t>{0, 0}));
+    t.clearMem();
+    EXPECT_FALSE(t.hasMem());
+
+    t.writeMemWords(0x10, {7, -7});
+    EXPECT_TRUE(t.hasMem());
+    EXPECT_EQ(t.readMemWords(0x10, 2), (std::vector<int32_t>{7, -7}));
+    EXPECT_EQ(t.readMemWords(0x18, 1), (std::vector<int32_t>{0}));
+    t.clearMem();
+    EXPECT_TRUE(t.hasMem());
+    EXPECT_EQ(t.readMemWords(0x10, 1), (std::vector<int32_t>{0}));
+}
+
+TEST(TileMemory, BareExecuteAllocatesSram)
+{
+    Tile t{0, 1};
+    t.execute(b::movi(0, 5));
+    EXPECT_TRUE(t.hasMem());
+
+    Tile u{0, 1};
+    u.setReg(1, 0x1234);
+    u.setPreg(0, Tile::MemBytes - 4);
+    u.execute(decodeInst(b::store(Opcode::STW, 1, 0, MemMode::Offset, 0)));
+    EXPECT_EQ(u.readMemWords(Tile::MemBytes - 4, 1),
+              (std::vector<int32_t>{0x1234}));
+}
+
+TEST(TileMemory, CopyStateFromCopiesOnlyExistingSram)
+{
+    Tile gated{0, 1}, dst{0, 1};
+    dst.writeMemWords(0, {1});
+    dst.copyStateFrom(gated);
+    EXPECT_FALSE(dst.hasMem());
+    EXPECT_EQ(dst.readMemWords(0, 1), (std::vector<int32_t>{0}));
+
+    Tile src{0, 1};
+    src.writeMemWords(0x40, {42});
+    dst.copyStateFrom(src);
+    ASSERT_TRUE(dst.hasMem());
+    EXPECT_EQ(dst.readMemWords(0x40, 1), (std::vector<int32_t>{42}));
+    // The copy owns its SRAM: writing it leaves the source alone.
+    dst.writeMemWords(0x40, {43});
+    EXPECT_EQ(src.readMemWords(0x40, 1), (std::vector<int32_t>{42}));
+}
+
+TEST(TileMemory, BadAccessesStayFatalWithTheirMessages)
+{
+    for (bool allocated : {false, true}) {
+        SCOPED_TRACE(allocated ? "with SRAM" : "without SRAM");
+        Tile t{0, 2};
+        if (allocated)
+            t.allocMem();
+        uint8_t buf[4] = {};
+        EXPECT_EQ(fatalMessage([&] { t.readMem(0x7ffe, buf, 4); }),
+                  "fatal: tile (0,2): readMem [32766, 32770) beyond "
+                  "32768-byte SRAM");
+        EXPECT_EQ(fatalMessage([&] { t.writeMem(0x7ffe, buf, 4); }),
+                  "fatal: tile (0,2): writeMem [32766, 32770) beyond "
+                  "32768-byte SRAM");
+        // A rejected write allocates nothing.
+        EXPECT_EQ(t.hasMem(), allocated);
+
+        t.setPreg(0, Tile::MemBytes);
+        EXPECT_EQ(fatalMessage([&] {
+                      t.execute(b::load(Opcode::LDW, 0, 0,
+                                        MemMode::Offset, 0));
+                  }),
+                  "fatal: tile (0,2): load at 0x8000 beyond SRAM");
+        EXPECT_EQ(fatalMessage([&] {
+                      t.execute(b::store(Opcode::STH, 0, 0,
+                                         MemMode::Offset, 0));
+                  }),
+                  "fatal: tile (0,2): store at 0x8000 beyond SRAM");
+        t.setPreg(0, 0x101);
+        EXPECT_EQ(fatalMessage([&] {
+                      t.execute(b::load(Opcode::LDW, 0, 0,
+                                        MemMode::Offset, 0));
+                  }),
+                  "fatal: tile (0,2): unaligned 4-byte load at 0x101");
+        EXPECT_EQ(fatalMessage([&] {
+                      t.execute(b::store(Opcode::STH, 0, 0,
+                                         MemMode::Offset, 0));
+                  }),
+                  "fatal: tile (0,2): unaligned 2-byte store at 0x101");
+    }
+}
+
+TEST(TileMemory, ReactivatedGatedTileStoresAndLoadsOnBothBackends)
+{
+    // Every tile stores its TID in the last SRAM word and loads it
+    // back. Tiles 1-3 are gated at load, as mapped apps gate them;
+    // tile 2 is then re-activated and must get SRAM for the run.
+    auto configure = [](Chip &chip) {
+        Column &col = chip.column(0);
+        col.controller().loadProgram(assemble(R"(
+            movpi p0, 0x7ffc
+            tid r1
+            addi r1, 100
+            st.w r1, [p0]
+            ld.w r2, [p0]
+            halt
+        )"));
+        for (unsigned i = 1; i < col.numTiles(); ++i)
+            col.setTileActive(i, false);
+        col.setTileActive(2, true);
+    };
+    ChipConfig cfg;
+    cfg.dividers = {1};
+    synchro::test::crossCheckBackends(cfg, configure);
+
+    for (SchedulerKind kind : synchro::test::AllSchedulerKinds) {
+        SCOPED_TRACE(schedulerName(kind));
+        cfg.scheduler = kind;
+        Chip chip(cfg);
+        configure(chip);
+        EXPECT_FALSE(chip.column(0).tile(2).hasMem());
+        ASSERT_EQ(int(chip.run(1000).exit), int(RunExit::AllHalted));
+        const Column &col = chip.column(0);
+        for (unsigned i : {0u, 2u}) {
+            EXPECT_TRUE(col.tile(i).hasMem()) << i;
+            EXPECT_EQ(col.tile(i).reg(2), 100 + i);
+            EXPECT_EQ(col.tile(i).readMemWords(0x7ffc, 1),
+                      (std::vector<int32_t>{int32_t(100 + i)}));
+        }
+        for (unsigned i : {1u, 3u}) {
+            EXPECT_FALSE(col.tile(i).hasMem()) << i;
+            EXPECT_EQ(col.tile(i).readMemWords(0x7ffc, 1),
+                      (std::vector<int32_t>{0}));
+        }
+    }
 }
