@@ -4,9 +4,9 @@
  * the work-stealing FleetExecutor at basestation scale (64 / 256 /
  * 1024 concurrent user streams), every item golden-verified, plus
  * the snapshot/clone warm-start comparison against a from-scratch
- * plan + codegen + program load. At the 256-stream scale every served item
- * is additionally re-run solo through SimSession::admit on a clone
- * of the same template and compared byte for byte. Appends
+ * plan + codegen + program load. At the 256-stream scale every
+ * served item is additionally re-run solo through sim::runChips on a
+ * clone of the same template and compared byte for byte. Appends
  * chips/sec, aggregate ticks/sec and the warm-start speedup to
  * BENCH_fleet.json so the trajectory is tracked across PRs.
  */
@@ -67,7 +67,7 @@ serveFleet(const std::vector<sim::FleetWorkload> &workloads,
 
 /**
  * Re-run every (stream, item) the fleet served as a solo
- * SimSession::admit batch on clones of the same templates and
+ * sim::runChips batch on clones of the same templates and
  * compare byte for byte — the serving layer must be invisible in
  * the results. Batched to bound peak chip count.
  */
@@ -90,21 +90,21 @@ soloCrossCheck(sim::FleetExecutor &fleet, const sim::FleetReport &rep)
     constexpr size_t Batch = 128;
     for (size_t at = 0; at < all.size(); at += Batch) {
         size_t n = std::min(Batch, all.size() - at);
-        sim::SimSession session;
+        std::vector<std::unique_ptr<arch::Chip>> chips;
+        std::vector<sim::ChipRun> batch;
         for (size_t i = 0; i < n; ++i) {
             const Pending &p = all[at + i];
             const sim::FleetWorkload &wl = fleet.workload(p.workload);
-            auto chip = fleet.templateChip(p.workload).clone();
-            wl.feed(*chip, p.item);
-            session.admit(sim::ChipSpec(std::move(chip))
-                              .tickLimit(wl.tick_limit));
+            chips.push_back(fleet.templateChip(p.workload).clone());
+            wl.feed(*chips.back(), p.item);
+            batch.push_back({chips.back().get(), wl.tick_limit, {}});
         }
-        auto results = session.runAll();
+        sim::runChips(batch);
         for (size_t i = 0; i < n; ++i) {
             const Pending &p = all[at + i];
             const sim::FleetWorkload &wl = fleet.workload(p.workload);
-            if (results[i].exit != arch::RunExit::AllHalted ||
-                wl.read_output(session.chip(unsigned(i))) != *p.want)
+            if (batch[i].result.exit != arch::RunExit::AllHalted ||
+                wl.read_output(*chips[i]) != *p.want)
                 return false;
         }
     }

@@ -3,9 +3,9 @@
  * Measured design-space exploration (mapping/explorer.hh): enumerate
  * plan variants around the AutoMapper's pick for the DDC receiver
  * and the MPEG-4 motion-estimation farm, lower and run every
- * candidate concurrently on one heterogeneous SimSession, and reduce
- * the measurements to a power-vs-throughput Pareto frontier with an
- * agreement verdict for the analytic Optimizer — what the paper's
+ * candidate concurrently in one heterogeneous runChips batch, and
+ * reduce the measurements to a power-vs-throughput Pareto frontier
+ * with an agreement verdict for the analytic Optimizer — what the paper's
  * Section 4.1 flow picks from a model, measured cycle-accurately.
  *
  * Exits nonzero if any measured point misses its dsp:: golden, a

@@ -38,13 +38,7 @@ MappedApp::MappedApp(const MappedAppParams &params,
     if (params_.tick_limit == 0)
         fatal("%s: MappedAppParams::tick_limit must be set",
               params_.app.c_str());
-    arch::ChipConfig cfg;
-    cfg.ref_freq_mhz = plan_.ref_freq_mhz;
-    cfg.dividers = plan_.dividers();
-    cfg.scheduler = params_.scheduler;
-    cfg.self_timed_bus = prog.self_timed;
-    chip_ = std::make_unique<arch::Chip>(cfg);
-    prog.load(*chip_);
+    chip_ = mapping::buildChip(plan_, prog, params_.scheduler);
 }
 
 MappedApp::~MappedApp() = default;
@@ -91,21 +85,6 @@ MappedApp::run()
         run.stats[name] = v;
     });
     return run;
-}
-
-std::unique_ptr<arch::Chip>
-buildFleetChip(const mapping::ChipPlan &plan,
-               const mapping::PipelineProgram &prog,
-               SchedulerKind scheduler)
-{
-    arch::ChipConfig cfg;
-    cfg.ref_freq_mhz = plan.ref_freq_mhz;
-    cfg.dividers = plan.dividers();
-    cfg.scheduler = scheduler;
-    cfg.self_timed_bus = prog.self_timed;
-    auto chip = std::make_unique<arch::Chip>(cfg);
-    prog.load(*chip);
-    return chip;
 }
 
 void

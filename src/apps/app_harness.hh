@@ -135,25 +135,14 @@ class MappedApp
 };
 
 /**
- * Fleet-serving support (sim/fleet.hh): the pieces of MappedApp's
- * chip lifecycle that a FleetWorkload's hooks need individually.
- *
- * buildFleetChip is the COLD path — exactly the chip MappedApp's
- * constructor builds (plan-derived config, program load), returned
- * as the ownable template every stream clone warm-starts from.
- *
- * refeedImages is the per-item warm path: Chip::restart() back to
- * tick 0, wipe the programmed tiles' SRAM, and write @p spec's
- * stage images (matched to columns by actor name). After it, the
- * chip is bit-identical to a fresh buildFleetChip of a program
- * lowered from @p spec — programs, DOU schedules and ZORM settings
- * depend only on the app parameters, never on the input data, so
- * only the images differ between items.
+ * Fleet-serving support (sim/fleet.hh): the per-item warm path of a
+ * FleetWorkload. Chip::restart() back to tick 0, wipe the programmed
+ * tiles' SRAM, and write @p spec's stage images (matched to columns
+ * by actor name). After it, the chip is bit-identical to a fresh
+ * mapping::buildChip of a program lowered from @p spec — programs,
+ * DOU schedules and ZORM settings depend only on the app parameters,
+ * never on the input data, so only the images differ between items.
  */
-std::unique_ptr<arch::Chip> buildFleetChip(
-    const mapping::ChipPlan &plan,
-    const mapping::PipelineProgram &prog, SchedulerKind scheduler);
-
 void refeedImages(arch::Chip &chip,
                   const mapping::PipelineProgram &prog,
                   const mapping::DagSpec &spec);

@@ -260,7 +260,7 @@ fleetOver(const MappedAppSpec<P, I, O> &spec, const P &p,
     wl.name = spec.name;
     wl.tick_limit = spec.tick_limit(p, art->plan, art->prog);
     wl.build = [art](SchedulerKind kind) {
-        return buildFleetChip(art->plan, art->prog, kind);
+        return mapping::buildChip(art->plan, art->prog, kind);
     };
     wl.feed = [spec, p, art](arch::Chip &chip, uint64_t item) {
         P q = itemParams(p, item);

@@ -121,19 +121,6 @@ Chip::domainStallBlock(unsigned d, Tick max_slots)
     return columns_[d]->stallBlock(max_slots);
 }
 
-void
-Chip::setSchedulerKind(SchedulerKind kind)
-{
-    if (kind == cfg_.scheduler)
-        return;
-    if (sched_->curTick() != 0)
-        fatal("cannot switch scheduler backend at tick %llu; the "
-              "chip has already run",
-              (unsigned long long)sched_->curTick());
-    cfg_.scheduler = kind;
-    sched_ = makeScheduler(kind);
-}
-
 std::unique_ptr<Chip>
 Chip::clone() const
 {

@@ -112,15 +112,6 @@ class Chip : private SchedModel
     /** The scheduler backend this chip runs on. */
     SchedulerKind schedulerKind() const { return cfg_.scheduler; }
 
-    /**
-     * Swap the scheduler backend of a not-yet-run chip — lets a
-     * session or explorer override the kind baked into the config at
-     * construction (e.g. to mix compiled and event-queue chips in
-     * one pool). fatal() once the chip has advanced past tick 0, since
-     * the backends' pending-work state is not transferable.
-     */
-    void setSchedulerKind(SchedulerKind kind);
-
     /** Reset all columns and rewind nothing else (stats persist). */
     void resetColumns();
 
@@ -131,11 +122,12 @@ class Chip : private SchedModel
      * (programs, DOU schedules, ZORM, allocated tile SRAM, supply
      * gating) without re-running any of it. Decoded programs, their
      * thunk tables, DOU trajectories and the bus table are shared,
-     * not copied; a tile with no SRAM stays without. The clone gets fresh statistics
-     * (all zero, like a freshly built chip) and its own scheduler,
-     * and is bit-identical to a fresh build + load on every backend.
-     * fatal() once this chip has advanced past tick 0: run state is
-     * not transferable (same invariant as setSchedulerKind()).
+     * not copied; a tile with no SRAM stays without. The clone gets
+     * fresh statistics (all zero, like a freshly built chip) and its
+     * own scheduler, and is bit-identical to a fresh build + load on
+     * every backend.
+     * fatal() once this chip has advanced past tick 0: the
+     * backends' pending-work state is not transferable.
      *
      * clone() is const and safe to call concurrently from several
      * worker threads on one template chip.
@@ -182,7 +174,7 @@ class Chip : private SchedModel
      * Visit every statistic of the chip under a dotted hierarchical
      * name: "bus.<stat>", "colC.ctrl.<stat>", "colC.dou.<stat>",
      * "colC.tileT.<stat>". Names are visited in a deterministic
-     * order; SimSession aggregates across chips with this.
+     * order; the fleet sums its served chips' counters with this.
      */
     void forEachStat(
         const std::function<void(const std::string &, uint64_t)> &fn)

@@ -491,15 +491,6 @@ Tile::executeLoop(const OpFn *fns, const MicroOp *uops, uint32_t n,
     instructions_ += broadcast;
     mem_ops_ += mems;
     mac_ops_ += macs;
-    if (n == 1) {
-        // Single-op bodies are common (accumulation loops); hoist
-        // the dispatch so the branch predictor sees one target.
-        const OpFn fn = fns[0];
-        const MicroOp &u = uops[0];
-        for (uint64_t it = 0; it < iters; ++it)
-            fn(*this, u);
-        return;
-    }
     for (uint64_t it = 0; it < iters; ++it) {
         for (uint32_t i = 0; i < n; ++i)
             fns[i](*this, uops[i]);

@@ -134,7 +134,8 @@ class Tile
     /**
      * Execute @p iters complete firings of an @p n micro-op loop
      * body in one call — executeBlock() for a whole zero-overhead
-     * loop. The counter charges cover all iterations.
+     * loop. The counter charges cover all iterations. One-op bodies
+     * take executeLoopOp() instead.
      */
     void executeLoop(const OpFn *fns, const isa::MicroOp *uops,
                      uint32_t n, uint64_t iters, uint64_t broadcast,

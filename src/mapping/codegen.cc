@@ -84,6 +84,20 @@ PipelineProgram::load(arch::Chip &chip) const
     }
 }
 
+std::unique_ptr<arch::Chip>
+buildChip(const ChipPlan &plan, const PipelineProgram &prog,
+          SchedulerKind kind)
+{
+    arch::ChipConfig cfg;
+    cfg.ref_freq_mhz = plan.ref_freq_mhz;
+    cfg.dividers = plan.dividers();
+    cfg.scheduler = kind;
+    cfg.self_timed_bus = prog.self_timed;
+    auto chip = std::make_unique<arch::Chip>(cfg);
+    prog.load(*chip);
+    return chip;
+}
+
 const ColumnProgram &
 PipelineProgram::columnFor(const std::string &actor) const
 {

@@ -51,6 +51,7 @@
 #define SYNC_MAPPING_CODEGEN_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,7 @@
 #include "mapping/auto_mapper.hh"
 #include "mapping/comm_schedule.hh"
 #include "mapping/rate_match.hh"
+#include "sim/scheduler.hh"
 
 namespace synchro::arch
 {
@@ -174,6 +176,15 @@ struct PipelineProgram
     /** The programmed column running @p actor; fatal() if absent. */
     const ColumnProgram &columnFor(const std::string &actor) const;
 };
+
+/**
+ * Build the chip @p plan maps @p prog onto — the plan's reference
+ * clock and per-column dividers, the program's bus mode, on backend
+ * @p kind — and load @p prog into it.
+ */
+std::unique_ptr<arch::Chip> buildChip(const ChipPlan &plan,
+                                      const PipelineProgram &prog,
+                                      SchedulerKind kind);
 
 /**
  * Lower the DAG @p spec onto the columns @p plan assigned its actors.

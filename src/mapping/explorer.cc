@@ -8,7 +8,7 @@
 
 #include "arch/chip.hh"
 #include "common/log.hh"
-#include "sim/session.hh"
+#include "sim/fleet.hh"
 
 namespace synchro::mapping
 {
@@ -37,20 +37,6 @@ refreshPlacement(ActorPlacement &p, double ref_mhz, unsigned divider,
 
 namespace
 {
-
-std::unique_ptr<arch::Chip>
-buildChip(const ChipPlan &plan, const PipelineProgram &prog,
-          SchedulerKind kind)
-{
-    arch::ChipConfig cfg;
-    cfg.ref_freq_mhz = plan.ref_freq_mhz;
-    cfg.dividers = plan.dividers();
-    cfg.scheduler = kind;
-    cfg.self_timed_bus = prog.self_timed;
-    auto chip = std::make_unique<arch::Chip>(cfg);
-    prog.load(*chip);
-    return chip;
-}
 
 std::map<std::string, uint64_t>
 chipStats(const arch::Chip &chip)
@@ -145,19 +131,17 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     res.baseline_index = 0;
 
     // Lower every candidate and stage one chip (on opt.scheduler)
-    // per successful lowering on a single heterogeneous session —
-    // each chip its own configuration, program and tick budget.
+    // per successful lowering in a single heterogeneous batch — each
+    // chip its own configuration, program and tick budget. batch[i]
+    // runs preps[i]'s chip.
     struct Prep
     {
         size_t point = 0;
-        unsigned session_id = 0;
         PipelineProgram prog;
         std::unique_ptr<arch::Chip> chip;
     };
     std::vector<Prep> preps;
-    sim::SessionConfig scfg;
-    scfg.threads = opt.threads;
-    sim::SimSession session(scfg);
+    std::vector<sim::ChipRun> batch;
 
     for (const auto &v : variants) {
         MeasuredPoint pt;
@@ -168,11 +152,9 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
             Prep prep;
             prep.point = res.points.size();
             prep.prog = app.lower(v.plan, v.iterations_per_sec);
-            prep.chip = buildChip(v.plan, prep.prog,
-                                  opt.scheduler);
-            prep.session_id = session.admit(
-                sim::ChipSpec(*prep.chip)
-                    .tickLimit(app.tick_limit(v.plan, prep.prog)));
+            prep.chip = buildChip(v.plan, prep.prog, opt.scheduler);
+            batch.push_back({prep.chip.get(),
+                             app.tick_limit(v.plan, prep.prog), {}});
             preps.push_back(std::move(prep));
         } catch (const FatalError &e) {
             pt.failure = strprintf("did not lower: %s", e.what());
@@ -188,11 +170,12 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     }
 
     // The whole batch, concurrently; per-chip budgets govern.
-    session.runAll();
+    sim::runChips(batch, opt.threads);
 
-    for (auto &prep : preps) {
+    for (size_t i = 0; i < preps.size(); ++i) {
+        Prep &prep = preps[i];
         MeasuredPoint &pt = res.points[prep.point];
-        const arch::RunResult &r = session.results()[prep.session_id];
+        const arch::RunResult &r = batch[i].result;
         arch::Chip &chip = *prep.chip;
         if (r.exit != arch::RunExit::AllHalted) {
             pt.failure = r.exit == arch::RunExit::Deadlock
@@ -263,14 +246,14 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
         if (base.ran && base.bit_exact && !base.on_frontier)
             check.push_back(res.baseline_index);
 
+        // xbatch[i] runs rechecks[i].chip.
         struct Recheck
         {
-            Prep *prep;
+            const Prep *prep;
             std::unique_ptr<arch::Chip> chip;
-            unsigned session_id = 0;
         };
         std::vector<Recheck> rechecks;
-        sim::SimSession xsession(scfg);
+        std::vector<sim::ChipRun> xbatch;
         for (size_t idx : check) {
             auto it = std::find_if(preps.begin(), preps.end(),
                                    [idx](const Prep &p) {
@@ -282,17 +265,16 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
             rc.prep = &*it;
             rc.chip = buildChip(res.points[idx].plan, it->prog,
                                 SchedulerKind::EventQueue);
-            rc.session_id = xsession.admit(
-                sim::ChipSpec(*rc.chip)
-                    .tickLimit(app.tick_limit(res.points[idx].plan,
-                                              it->prog)));
+            xbatch.push_back(
+                {rc.chip.get(),
+                 app.tick_limit(res.points[idx].plan, it->prog), {}});
             rechecks.push_back(std::move(rc));
         }
-        xsession.runAll();
-        for (auto &rc : rechecks) {
+        sim::runChips(xbatch, opt.threads);
+        for (size_t i = 0; i < rechecks.size(); ++i) {
+            const Recheck &rc = rechecks[i];
             MeasuredPoint &pt = res.points[rc.prep->point];
-            const arch::RunResult &r =
-                xsession.results()[rc.session_id];
+            const arch::RunResult &r = xbatch[i].result;
             pt.crosschecked =
                 r.exit == arch::RunExit::AllHalted &&
                 r.ticks == pt.ticks &&

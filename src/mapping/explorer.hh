@@ -4,7 +4,7 @@
  * analytic mapping flow (Section 4.1, Tables 3/4) could not: instead
  * of trusting the power model's pick, enumerate candidate chip plans
  * around it, lower every candidate through real codegen, run the
- * whole batch cycle-accurately on SimSession's worker pool, verify
+ * whole batch cycle-accurately in one sim::runChips pool, verify
  * each run bit-exactly against the application's dsp:: golden, and
  * price each with power::priceSimulationComparison. The output is a
  * *measured* power-vs-throughput Pareto frontier per application and
@@ -207,11 +207,12 @@ std::vector<PlanVariant> enumeratePlanVariants(
 
 /**
  * The measured evaluator: enumerate (plus the app's shard variants),
- * lower every candidate, run the whole batch concurrently on one
- * SimSession, verify bit-exactness, price each run, and reduce to a
- * Pareto frontier (mW vs achieved rate) with the Optimizer-agreement
- * verdict. Candidates that fail to lower or drain become non-ran
- * points (with their failure recorded), never errors.
+ * lower every candidate, run the whole batch concurrently in one
+ * sim::runChips call, verify bit-exactness, price each run, and
+ * reduce to a Pareto frontier (mW vs achieved rate) with the
+ * Optimizer-agreement verdict. Candidates that fail to lower or
+ * drain become non-ran points (with their failure recorded), never
+ * errors.
  */
 ExplorationResult explorePlans(const ExplorableApp &app,
                                const ExploreOptions &opt = {});

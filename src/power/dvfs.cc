@@ -522,17 +522,14 @@ runGoverned(const DvfsAppHooks &app,
             }
         } else {
             std::vector<uint8_t> out = wl.read_output(*chip);
-            if (opt.verify_outputs) {
-                std::vector<uint8_t> want = wl.golden(ev.item);
-                if (out != want) {
-                    res.bit_exact = false;
-                    if (res.first_failure.empty()) {
-                        res.first_failure = strprintf(
-                            "%s item %llu mismatches its golden at "
-                            "point %zu",
-                            app.name.c_str(),
-                            (unsigned long long)ev.item, cur);
-                    }
+            if (out != wl.golden(ev.item)) {
+                res.bit_exact = false;
+                if (res.first_failure.empty()) {
+                    res.first_failure = strprintf(
+                        "%s item %llu mismatches its golden at point "
+                        "%zu",
+                        app.name.c_str(), (unsigned long long)ev.item,
+                        cur);
                 }
             }
             if (opt.keep_outputs)
@@ -570,106 +567,6 @@ runGoverned(const DvfsAppHooks &app,
                                         model);
     }
     return res;
-}
-
-std::shared_ptr<GovernedFleetState>
-makeGovernedFleetState(const DvfsAppHooks &app,
-                       const sim::TrafficSpec &traffic,
-                       const DvfsGovernorConfig &cfg)
-{
-    if (app.iterations_per_item == 0)
-        fatal("makeGovernedFleetState(%s): iterations_per_item must "
-              "be set",
-              app.name.c_str());
-    VfModel vf;
-    SupplyLevels levels(vf);
-
-    auto state = std::make_shared<GovernedFleetState>();
-    state->table = SafeTransitionTable::build(
-        app.artifact, cfg.rate_scales, levels);
-    state->cfg = cfg;
-    state->cfg.setpoint =
-        app.setpoint > 0 ? app.setpoint : cfg.setpoint;
-    state->nominal_window_ticks =
-        double(app.iterations_per_item) /
-        app.artifact.iterations_per_sec *
-        app.artifact.plan.ref_freq_mhz * 1e6;
-
-    sim::TrafficScenario scenario(traffic);
-    for (const sim::TrafficEvent &ev : scenario.events()) {
-        if (!ev.idle)
-            state->rate_by_item.push_back(ev.rate_scale);
-    }
-    return state;
-}
-
-sim::FleetWorkload
-governedFleetWorkload(const DvfsAppHooks &app,
-                      std::shared_ptr<GovernedFleetState> state)
-{
-    sim::FleetWorkload wl = app.workload;
-    wl.name = app.name + "-governed";
-
-    // Slower points drain later: budget for the slowest table point
-    // (points are sorted ascending by rate scale, so front() is it).
-    wl.tick_limit = itemBudget(app.workload.tick_limit,
-                               state->table.points().front());
-
-    // Grid-period sampling: serve each item in slices so the
-    // governor's sampling points exist even mid-item (retunes still
-    // only happen at item boundaries — the reconfiguration points).
-    wl.run_chunk = Tick(app.artifact.prog.slot_spacing) *
-                   std::max(1u, state->cfg.sample_periods);
-    wl.on_slice = [state](arch::Chip &, uint64_t, Tick) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        ++state->slices;
-    };
-
-    auto inner_feed = app.workload.feed;
-    wl.feed = [state, inner_feed](arch::Chip &chip, uint64_t item) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        GovernedFleetState::PerChip &pc = state->chips[&chip];
-        // A chip that has never run is a new stream's fresh clone,
-        // even when the allocator hands it a finished stream's
-        // address and its first item happens to continue that
-        // stream's item range.
-        const bool fresh_clone = chip.curTick() == 0;
-        if (!pc.started || item != pc.expected_next || fresh_clone) {
-            // A fresh stream (or a reused chip pointer): reset the
-            // per-stream controller. Decisions depend only on the
-            // stream's own history, so any worker count serves the
-            // same trajectory.
-            pc = GovernedFleetState::PerChip{};
-            pc.gov = std::make_unique<DvfsGovernor>(
-                state->table, state->nominal_window_ticks,
-                state->cfg);
-            pc.cur = state->table.baselineIndex();
-            pc.started = true;
-        } else if (pc.have_prev) {
-            // Observe the previous item before feed() restarts the
-            // chip: curTick() is still its drain time.
-            pc.gov->observe(
-                pc.cur, chip.curTick(),
-                activityDelta(pc.after_feed, collectActivity(chip)),
-                busDeferrals(chip) - pc.deferrals);
-        }
-        size_t target = pc.gov->decide(state->rateForItem(item));
-        inner_feed(chip, item);
-        if (target != pc.cur) {
-            if (!pc.gov->applyPoint(chip, target)) {
-                fatal("governed fleet: failed to apply verified "
-                      "point %zu",
-                      target);
-            }
-            pc.cur = target;
-        }
-        pc.after_feed = collectActivity(chip);
-        pc.deferrals = busDeferrals(chip);
-        pc.have_prev = true;
-        pc.expected_next = item + 1;
-        state->decision_by_item[item] = target;
-    };
-    return wl;
 }
 
 } // namespace synchro::power

@@ -19,8 +19,7 @@
  *    become operating points; the rest are counted as rejected.
  *
  *  - The DvfsGovernor is a per-chip feedback controller sampled at
- *    item boundaries (and, in fleet serving, at grid-period slices
- *    via FleetWorkload::on_slice): it reads per-column occupancy
+ *    item boundaries: it reads per-column occupancy
  *    (comm-stall slots), bus deferral and ZORM-idle counters plus
  *    the drain time of every served item, calibrates a per-point
  *    busy-tick estimate, and retunes toward a rate setpoint —
@@ -37,18 +36,13 @@
  * runGoverned() drives one chip through a sim::TrafficScenario under
  * a Static / Governed / Oracle policy and prices the run epoch by
  * epoch (power::priceActivityEpochs), so each inter-reconfiguration
- * stretch is charged at its own V/f point. governedFleetWorkload()
- * wraps a fleet workload with per-stream governor state so whole
- * chip fleets serve bursty traffic governed.
+ * stretch is charged at its own V/f point.
  */
 
 #ifndef SYNC_POWER_DVFS_HH
 #define SYNC_POWER_DVFS_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -189,9 +183,6 @@ struct DvfsGovernorConfig
 
     /** Safety factor on predicted busy ticks at unvisited points. */
     double headroom = 1.15;
-
-    /** Grid periods per mid-item sampling slice (fleet serving). */
-    unsigned sample_periods = 8;
 };
 
 /**
@@ -308,9 +299,6 @@ struct GovernedRunOptions
     SchedulerKind scheduler = defaultSchedulerKind();
     DvfsGovernorConfig governor;
 
-    /** Check every item against the workload golden. */
-    bool verify_outputs = true;
-
     /** Retain every item's output bytes (cross-policy equality). */
     bool keep_outputs = false;
 };
@@ -361,70 +349,6 @@ struct GovernedRunResult
 GovernedRunResult runGoverned(const DvfsAppHooks &app,
                               const sim::TrafficScenario &scenario,
                               const GovernedRunOptions &opt = {});
-
-/**
- * Shared state of a governed fleet: the one safe table plus one
- * governor per live stream chip. Streams are identified by their
- * contiguous item ranges — decisions depend only on the stream's own
- * history, so they are identical under any worker count.
- */
-struct GovernedFleetState
-{
-    SafeTransitionTable table;
-    DvfsGovernorConfig cfg;
-    double nominal_window_ticks = 0;
-
-    /** Declared rate per work item, cycled from the traffic spec. */
-    std::vector<double> rate_by_item;
-
-    double
-    rateForItem(uint64_t item) const
-    {
-        if (rate_by_item.empty())
-            return 1.0;
-        return rate_by_item[item % rate_by_item.size()];
-    }
-
-    std::mutex mu;
-
-    struct PerChip
-    {
-        std::unique_ptr<DvfsGovernor> gov;
-        bool started = false;
-        uint64_t expected_next = 0;
-        size_t cur = 0;
-        bool have_prev = false;
-        ActivityReport after_feed;
-        uint64_t deferrals = 0;
-    };
-
-    /** Keyed by serving chip; reset when a chip starts a new
-     *  stream (a never-run clone, or item != expected_next). */
-    std::map<const arch::Chip *, PerChip> chips;
-
-    /** decide() outcome per served work item (determinism probe). */
-    std::map<uint64_t, size_t> decision_by_item;
-
-    /** on_slice grid-period samples taken across the fleet. */
-    uint64_t slices = 0;
-};
-
-/** Build the shared state (table + per-item rates) for @p app. */
-std::shared_ptr<GovernedFleetState> makeGovernedFleetState(
-    const DvfsAppHooks &app, const sim::TrafficSpec &traffic,
-    const DvfsGovernorConfig &cfg = {});
-
-/**
- * Wrap @p app's fleet workload with the governor: feed() observes
- * the previous item, decides from the item's declared rate, and
- * applies the point at tick 0 right after the inner feed; items run
- * in grid-period slices (FleetWorkload::run_chunk) so the governor's
- * sampling points exist even mid-item. Outputs are unchanged —
- * every operating point is bit-exact by construction.
- */
-sim::FleetWorkload governedFleetWorkload(
-    const DvfsAppHooks &app,
-    std::shared_ptr<GovernedFleetState> state);
 
 } // namespace synchro::power
 

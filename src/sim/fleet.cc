@@ -1,5 +1,8 @@
 #include "sim/fleet.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <utility>
 
 #include "common/log.hh"
@@ -30,6 +33,60 @@ diffBytes(const std::vector<uint8_t> &got,
 }
 
 } // namespace
+
+void
+runChips(std::vector<ChipRun> &batch, unsigned threads)
+{
+    if (threads == 0) {
+        unsigned hw = std::thread::hardware_concurrency();
+        threads = hw != 0 ? hw : 1;
+    }
+    threads = unsigned(std::min<size_t>(threads, batch.size()));
+
+    // One chip or one worker: run on the caller's thread — no pool,
+    // and an error propagates straight from the failing chip.
+    if (threads <= 1) {
+        for (ChipRun &run : batch)
+            run.result = run.chip->run(run.budget);
+        return;
+    }
+
+    // Chips are fully isolated simulations, so a dynamic work queue
+    // is safe: whichever thread picks a chip up runs it start to
+    // finish, and per-chip results do not depend on the assignment.
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex err_mu;
+    std::exception_ptr first_error;
+
+    auto worker = [&] {
+        while (!failed.load(std::memory_order_relaxed)) {
+            size_t i = next.fetch_add(1);
+            if (i >= batch.size())
+                return;
+            try {
+                batch[i].result = batch[i].chip->run(batch[i].budget);
+            } catch (...) {
+                // Stop the pool at the next chip boundary: the whole
+                // batch is abandoned once any chip errors.
+                failed.store(true, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(err_mu);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back(worker);
+    for (auto &th : pool)
+        th.join();
+
+    if (first_error)
+        std::rethrow_exception(first_error);
+}
 
 FleetExecutor::FleetExecutor(FleetConfig cfg) : cfg_(std::move(cfg))
 {
@@ -62,13 +119,9 @@ FleetExecutor::effectiveWorkers() const
 unsigned
 FleetExecutor::addWorkload(FleetWorkload wl)
 {
-    if (!wl.build || !wl.feed || !wl.read_output)
+    if (!wl.build || !wl.feed || !wl.read_output || !wl.golden)
         fatal("fleet workload '%s' is missing a hook "
-              "(build/feed/read_output are mandatory)",
-              wl.name.c_str());
-    if (cfg_.verify && !wl.golden)
-        fatal("fleet workload '%s' has no golden hook but the fleet "
-              "verifies every item",
+              "(build/feed/read_output/golden are mandatory)",
               wl.name.c_str());
 
     // The one cold build of this workload: codegen + verifier gate +
@@ -235,29 +288,7 @@ FleetExecutor::serveOneItem(Stream &s, Worker &shard)
             ++shard.clones;
         }
         wl.feed(*s.chip, item);
-        arch::RunResult r{};
-        if (wl.run_chunk > 0) {
-            // Sliced serving: pause at every run_chunk boundary so
-            // the workload's sampling hook sees the chip mid-item.
-            // run() budgets are per call and pending work carries
-            // across calls, so the slices reach exactly the state
-            // one run(tick_limit) call would have.
-            Tick done = 0;
-            for (;;) {
-                Tick step =
-                    std::min<Tick>(wl.run_chunk,
-                                   wl.tick_limit - done);
-                r = s.chip->run(step);
-                if (wl.on_slice)
-                    wl.on_slice(*s.chip, item, r.ticks);
-                done = r.ticks;
-                if (r.exit != arch::RunExit::TickLimit ||
-                    done >= wl.tick_limit)
-                    break;
-            }
-        } else {
-            r = s.chip->run(wl.tick_limit);
-        }
+        const arch::RunResult r = s.chip->run(wl.tick_limit);
         shard.ticks += r.ticks;
         s.res.ticks += r.ticks;
         shard.max_ticks_reached =
@@ -285,15 +316,13 @@ FleetExecutor::serveOneItem(Stream &s, Worker &shard)
             }
         } else {
             std::vector<uint8_t> out = wl.read_output(*s.chip);
-            if (cfg_.verify) {
-                std::string diff = diffBytes(out, wl.golden(item));
-                if (!diff.empty()) {
-                    ++s.res.mismatches;
-                    if (s.res.first_failure.empty()) {
-                        s.res.first_failure = strprintf(
-                            "%s item %llu: %s", wl.name.c_str(),
-                            (unsigned long long)item, diff.c_str());
-                    }
+            std::string diff = diffBytes(out, wl.golden(item));
+            if (!diff.empty()) {
+                ++s.res.mismatches;
+                if (s.res.first_failure.empty()) {
+                    s.res.first_failure = strprintf(
+                        "%s item %llu: %s", wl.name.c_str(),
+                        (unsigned long long)item, diff.c_str());
                 }
             }
             if (cfg_.keep_outputs)

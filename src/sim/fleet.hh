@@ -1,14 +1,23 @@
 /**
  * @file
- * FleetExecutor — the streaming serving layer over SimSession's
- * batch facade.
+ * The two ways to run many independent Synchroscalar chips: a batch
+ * pool (runChips) and a streaming fleet (FleetExecutor).
  *
- * SimSession::runAll() is a barrier: stage N chips, run them all,
- * harvest. A basestation does not work like that — hundreds of
- * per-user chip streams (DDC channels, 802.11a receivers) each
- * receive an open-ended sequence of work items (sample blocks, OFDM
- * symbols), and new streams arrive while old ones are still
- * draining. FleetExecutor serves that shape:
+ * The chip model is single-threaded and deterministic, so the
+ * scaling unit for batch sweeps and request-serving traffic is
+ * *many chips*, each an isolated simulation that always runs on
+ * exactly one thread.
+ *
+ * runChips() is a barrier: stage a batch of programmed chips, each
+ * with its own tick budget, run them all across a worker pool, read
+ * the results. The mapped design-space explorer
+ * (mapping/explorer.hh) batches its candidate plans this way.
+ *
+ * A basestation does not work like that — hundreds of per-user chip
+ * streams (DDC channels, 802.11a receivers) each receive an
+ * open-ended sequence of work items (sample blocks, OFDM symbols),
+ * and new streams arrive while old ones are still draining.
+ * FleetExecutor serves that shape:
  *
  *  - a *workload* packages an app's plan/program hooks once
  *    (FleetWorkload; apps::fleetView derives one from each app's
@@ -30,8 +39,8 @@
  *    drain() — no shared counters, no locks on the serving path.
  *
  * drain() blocks until every admitted item has been served and
- * returns a FleetReport whose totals reuse the session vocabulary
- * (SessionStats: per-exit counts, tick sums, merged counters).
+ * returns a FleetReport whose FleetTotals hold per-exit counts, tick
+ * sums and the merged counters.
  */
 
 #ifndef SYNC_SIM_FLEET_HH
@@ -50,10 +59,29 @@
 #include <vector>
 
 #include "arch/chip.hh"
-#include "sim/session.hh"
 
 namespace synchro::sim
 {
+
+/** One chip of a runChips() batch. */
+struct ChipRun
+{
+    arch::Chip *chip = nullptr; //!< borrowed; outlives the call
+    Tick budget = 0;            //!< ticks this call may run
+    arch::RunResult result{};   //!< filled in by runChips()
+};
+
+/**
+ * Run every chip of @p batch for up to its budget, spreading chips
+ * across @p threads workers (0 = hardware concurrency), capped at
+ * the batch size. Each chip runs start to finish on one thread, so
+ * results do not depend on the pool width. With one chip or one
+ * worker the chips run inline on the caller's thread. After the
+ * first error no new chip starts, and the error is rethrown once
+ * every worker has stopped. May be called repeatedly on the same
+ * chips (chip time accumulates).
+ */
+void runChips(std::vector<ChipRun> &batch, unsigned threads = 0);
 
 /**
  * Mix a work-item index into a workload's base RNG seed (splitmix64
@@ -74,8 +102,10 @@ fleetItemSeed(uint32_t base, uint64_t item)
 /**
  * An app packaged for fleet serving — the plan/program hooks of one
  * mapped application, seed-parameterized per work item. All four
- * closures must be pure w.r.t. shared state: workers invoke feed /
- * read_output / golden concurrently for different streams.
+ * closures are mandatory and must be pure w.r.t. shared state:
+ * workers invoke feed / read_output / golden concurrently for
+ * different streams, and every served item is checked against its
+ * golden.
  */
 struct FleetWorkload
 {
@@ -106,21 +136,6 @@ struct FleetWorkload
 
     /** The item's golden reference (dsp:: chain), as bytes. */
     std::function<std::vector<uint8_t>(uint64_t item)> golden;
-
-    /**
-     * When non-zero, each item is served as repeated
-     * Chip::run(run_chunk) slices instead of one run(tick_limit)
-     * call, with on_slice invoked at every pause — the DVFS
-     * governor's grid-period sampling hook (power/dvfs.hh). Slicing
-     * never changes results: every backend resumes pending work
-     * across run() calls bit-identically.
-     */
-    Tick run_chunk = 0;
-
-    /** Called after each slice with the item and the tick reached.
-     *  Must tolerate concurrent calls for different streams. */
-    std::function<void(arch::Chip &, uint64_t item, Tick now)>
-        on_slice;
 };
 
 struct FleetConfig
@@ -131,11 +146,21 @@ struct FleetConfig
     /** Backend every stream's chip runs on. */
     SchedulerKind scheduler = defaultSchedulerKind();
 
-    /** Check every item's output against the workload golden. */
-    bool verify = true;
-
     /** Retain every item's output bytes in the stream results. */
     bool keep_outputs = false;
+};
+
+/** Cross-chip totals of everything a fleet served. */
+struct FleetTotals
+{
+    uint64_t chips = 0;        //!< items served (one chip run each)
+    uint64_t halted = 0;       //!< runs that reached AllHalted
+    uint64_t tick_limited = 0; //!< runs that hit the tick budget
+    uint64_t deadlocked = 0;
+    Tick max_ticks_reached = 0; //!< slowest run's final tick
+    uint64_t total_ticks = 0;   //!< sum of final ticks
+    /** Chip counters summed across the fleet, by dotted name. */
+    std::map<std::string, uint64_t> counters;
 };
 
 /** What one stream's service produced. */
@@ -182,12 +207,9 @@ struct FleetReport
     uint64_t steals = 0;      //!< streams taken from another worker
     uint64_t clones = 0;      //!< template clones (one per stream)
 
-    /**
-     * The session-vocabulary totals: chips = items served, per-exit
-     * counts, tick sums, and the per-worker counter shards merged by
-     * dotted name.
-     */
-    SessionStats totals;
+    /** Per-exit counts, tick sums, and the per-worker counter
+     *  shards merged by dotted name. */
+    FleetTotals totals;
 
     /** Per-stream detail, in admission order. */
     std::vector<FleetStreamResult> stream_results;
@@ -228,10 +250,9 @@ class FleetExecutor
 
     /**
      * Admit one stream of @p items work items (indices item_base ..
-     * item_base+items-1) of @p workload — the streaming analogue of
-     * SimSession::admit. Serving starts immediately on the worker
-     * pool; admission is safe while earlier streams are still being
-     * served. Returns the stream id.
+     * item_base+items-1) of @p workload. Serving starts immediately
+     * on the worker pool; admission is safe while earlier streams
+     * are still being served. Returns the stream id.
      */
     unsigned admitStream(unsigned workload, uint64_t items,
                          uint64_t item_base = 0);

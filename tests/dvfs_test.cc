@@ -1,13 +1,12 @@
 /** @file Online DVFS governor: safe-transition table proofs,
  * planted-unsafe rejection, steady-phase convergence to the measured
- * oracle, backend and fleet worker-count determinism, and the
- * epoch-faithful power attribution under mid-run rate steps. */
+ * oracle, backend determinism, and the epoch-faithful power
+ * attribution under mid-run rate steps. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -95,8 +94,8 @@ checkSpecViews(const apps::MappedAppSpec<P, I, O> &spec, const P &p,
     EXPECT_EQ(h.workload.tick_limit,
               spec.tick_limit(p, h.artifact.plan, h.artifact.prog));
     auto served = h.workload.build(p.scheduler);
-    auto own = apps::buildFleetChip(h.artifact.plan, h.artifact.prog,
-                                    p.scheduler);
+    auto own = mapping::buildChip(h.artifact.plan, h.artifact.prog,
+                                  p.scheduler);
     const arch::RunResult rs = served->run(h.workload.tick_limit);
     const arch::RunResult ro = own->run(h.workload.tick_limit);
     ASSERT_EQ(int(rs.exit), int(arch::RunExit::AllHalted));
@@ -420,47 +419,4 @@ TEST(ActivityEpochs, MidRunRateStepIsPricedPerEpochNotAggregated)
     EXPECT_GT(std::abs(naive.multi_v.total() - faithful),
               0.005 * faithful);
     EXPECT_GE(gov.power.vmax, naive.vmax);
-}
-
-// ---------------------------------------------------------------
-// Governed fleet serving.
-
-TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
-{
-    DvfsAppHooks app = dvfsView(ddcSpec(), testParams());
-    sim::TrafficSpec traffic = sim::TrafficSpec::bursty(2004, 2);
-
-    std::map<uint64_t, size_t> ref_decisions;
-    uint64_t ref_slices = 0;
-    for (unsigned workers : {1u, 2u, 4u}) {
-        auto state = makeGovernedFleetState(app, traffic);
-        sim::FleetWorkload wl = governedFleetWorkload(app, state);
-        ASSERT_GT(wl.run_chunk, 0u);
-
-        sim::FleetConfig fc;
-        fc.workers = workers;
-        fc.scheduler = SchedulerKind::Compiled;
-        sim::FleetExecutor fleet(fc);
-        unsigned id = fleet.addWorkload(wl);
-        // Four streams with disjoint, contiguous item ranges.
-        for (unsigned s = 0; s < 4; ++s)
-            fleet.admitStream(id, 4, uint64_t(s) * 4);
-        sim::FleetReport rep = fleet.drain();
-
-        EXPECT_TRUE(rep.all_verified);
-        EXPECT_EQ(rep.items, 16u);
-        EXPECT_GT(state->slices, 0u);
-        for (const auto &kv : state->decision_by_item)
-            EXPECT_LT(kv.second, state->table.points().size());
-
-        if (ref_decisions.empty()) {
-            ref_decisions = state->decision_by_item;
-            ref_slices = state->slices;
-        } else {
-            EXPECT_EQ(state->decision_by_item, ref_decisions)
-                << workers << " workers diverged";
-            EXPECT_EQ(state->slices, ref_slices);
-        }
-    }
-    EXPECT_EQ(ref_decisions.size(), 16u);
 }

@@ -1,5 +1,5 @@
 /** @file Design-space explorer: variant enumeration feasibility,
- * measured Pareto frontiers over heterogeneous SimSession batches,
+ * measured Pareto frontiers over heterogeneous runChips batches,
  * optimizer agreement, and determinism across pool widths. */
 
 #include <gtest/gtest.h>

@@ -1,6 +1,7 @@
-/** @file FleetExecutor: streaming chip fleets — solo bit-exactness,
- * worker-count determinism, work stealing, and snapshot/clone
- * warm-start equivalence on every scheduler backend. */
+/** @file runChips batches and FleetExecutor streaming fleets — solo
+ * bit-exactness, worker-count determinism, error propagation, work
+ * stealing, and snapshot/clone warm-start equivalence on every
+ * scheduler backend. */
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@ using namespace synchro;
 using namespace synchro::arch;
 using synchro::isa::assemble;
 using synchro::test::allStats;
+using synchro::test::singleColumnChip;
 
 namespace
 {
@@ -161,7 +163,185 @@ mixedSumWorkload(uint32_t base_seed)
     return wl;
 }
 
+/** A chip whose every column counts to @p count, then halts. */
+std::unique_ptr<Chip>
+countingChip(const ChipConfig &cfg, unsigned count)
+{
+    const isa::Program prog = assemble(strprintf(R"(
+        movi r0, 0
+        lsetup lc0, e, %u
+        addi r0, 1
+    e:
+        halt
+    )",
+                                                 count));
+    auto chip = std::make_unique<Chip>(cfg);
+    for (unsigned c = 0; c < chip->numColumns(); ++c)
+        chip->column(c).controller().loadProgram(prog);
+    return chip;
+}
+
+constexpr const char *Spin = R"(
+spin:
+    jump spin
+)";
+
+constexpr const char *SetThree = R"(
+    movi r0, 3
+    halt
+)";
+
+/** Falls off the program end: the controller fatal()s. */
+constexpr const char *NoHalt = R"(
+    movi r0, 1
+)";
+
+/** A batch running every chip of @p chips for @p budget ticks. */
+std::vector<sim::ChipRun>
+batchOf(const std::vector<std::unique_ptr<Chip>> &chips, Tick budget)
+{
+    std::vector<sim::ChipRun> batch;
+    for (const auto &chip : chips)
+        batch.push_back({chip.get(), budget, {}});
+    return batch;
+}
+
 } // namespace
+
+TEST(RunChips, RunsEveryChipToCompletion)
+{
+    std::vector<std::unique_ptr<Chip>> chips;
+    for (unsigned i = 0; i < 6; ++i) {
+        ChipConfig cfg;
+        cfg.dividers = {1u + i % 4, 2u + i % 3};
+        cfg.tiles_per_column = 1 + i % 4;
+        chips.push_back(countingChip(cfg, 50 + 13 * i));
+    }
+    auto batch = batchOf(chips, 1'000'000);
+    sim::runChips(batch);
+    for (unsigned i = 0; i < 6; ++i) {
+        EXPECT_EQ(int(batch[i].result.exit), int(RunExit::AllHalted))
+            << i;
+        EXPECT_EQ(chips[i]->column(0).tile(0).reg(0), 50u + 13 * i);
+    }
+}
+
+TEST(RunChips, HeterogeneousBatchDeterministicAcrossThreadCounts)
+{
+    // The same heterogeneous batch — mixed dividers, schedulers and
+    // per-chip budgets — run under different pool widths must
+    // produce identical per-chip ticks and statistics.
+    auto run = [](unsigned threads) {
+        std::vector<std::unique_ptr<Chip>> chips;
+        std::vector<sim::ChipRun> batch;
+        for (unsigned i = 0; i < 9; ++i) {
+            ChipConfig cfg;
+            cfg.dividers = {1u + i % 5, 2u + i % 4};
+            cfg.tiles_per_column = 1 + i % 4;
+            cfg.scheduler = i % 2 ? SchedulerKind::EventQueue
+                                  : SchedulerKind::Compiled;
+            chips.push_back(countingChip(cfg, 40 + 17 * i));
+            batch.push_back({chips.back().get(),
+                             i % 3 == 0 ? 200 + 100 * i : 1'000'000,
+                             {}});
+        }
+        sim::runChips(batch, threads);
+        return std::make_pair(std::move(chips), batch);
+    };
+
+    auto [serial_chips, serial] = run(1);
+    auto [wide_chips, wide] = run(4);
+    ASSERT_EQ(serial.size(), wide.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(int(wide[i].result.exit), int(serial[i].result.exit))
+            << i;
+        EXPECT_EQ(wide[i].result.ticks, serial[i].result.ticks) << i;
+        EXPECT_EQ(allStats(*wide_chips[i]), allStats(*serial_chips[i]))
+            << i;
+    }
+}
+
+TEST(RunChips, MixedSchedulerBackendsAgree)
+{
+    // A batch may mix backends chip by chip; both halves of a
+    // mirrored pair must produce identical results.
+    std::vector<std::unique_ptr<Chip>> chips;
+    for (auto kind :
+         {SchedulerKind::EventQueue, SchedulerKind::Compiled}) {
+        ChipConfig cfg;
+        cfg.dividers = {8, 8, 4, 2};
+        cfg.scheduler = kind;
+        chips.push_back(countingChip(cfg, 400));
+    }
+    auto batch = batchOf(chips, 1'000'000);
+    sim::runChips(batch);
+    EXPECT_EQ(batch[0].result.ticks, batch[1].result.ticks);
+    EXPECT_EQ(allStats(*chips[0]), allStats(*chips[1]));
+}
+
+TEST(RunChips, PerChipBudgetsGovern)
+{
+    std::vector<std::unique_ptr<Chip>> chips;
+    for (unsigned i = 0; i < 3; ++i)
+        chips.push_back(singleColumnChip(Spin, 1));
+    std::vector<sim::ChipRun> batch = {{chips[0].get(), 100, {}},
+                                       {chips[1].get(), 500, {}},
+                                       {chips[2].get(), 50, {}}};
+    sim::runChips(batch, 3);
+    EXPECT_EQ(batch[0].result.ticks, 100u);
+    EXPECT_EQ(batch[1].result.ticks, 500u);
+    EXPECT_EQ(batch[2].result.ticks, 50u);
+}
+
+TEST(RunChips, RepeatedRunsAccumulateTime)
+{
+    std::vector<std::unique_ptr<Chip>> chips;
+    chips.push_back(singleColumnChip(Spin, 1));
+    auto batch = batchOf(chips, 100);
+    sim::runChips(batch);
+    EXPECT_EQ(batch[0].result.ticks, 100u);
+    sim::runChips(batch);
+    EXPECT_EQ(batch[0].result.ticks, 200u);
+}
+
+TEST(RunChips, EmptyBatchIsHarmless)
+{
+    std::vector<sim::ChipRun> batch;
+    sim::runChips(batch);
+    sim::runChips(batch, 4);
+    EXPECT_TRUE(batch.empty());
+}
+
+TEST(RunChips, SingleChipRunsInlineAndSurfacesErrors)
+{
+    // One chip needs no pool: it runs on the caller's thread, and a
+    // fatal() from inside the chip arrives as FatalError.
+    std::vector<std::unique_ptr<Chip>> chips;
+    chips.push_back(singleColumnChip(SetThree, 1));
+    auto batch = batchOf(chips, 1'000);
+    sim::runChips(batch, 4);
+    EXPECT_EQ(int(batch[0].result.exit), int(RunExit::AllHalted));
+    EXPECT_EQ(chips[0]->column(0).tile(0).reg(0), 3u);
+
+    std::vector<std::unique_ptr<Chip>> bad;
+    bad.push_back(singleColumnChip(NoHalt, 1));
+    auto bad_batch = batchOf(bad, 1'000);
+    EXPECT_THROW(sim::runChips(bad_batch, 4), FatalError);
+}
+
+TEST(RunChips, ErrorInPoolIsRethrownAfterWorkersStop)
+{
+    // One chip of an 8-chip, 4-worker batch has no halt: its fatal()
+    // must reach the caller, and only after every worker stopped —
+    // the chips are safe to inspect once runChips has thrown.
+    std::vector<std::unique_ptr<Chip>> chips;
+    for (unsigned i = 0; i < 8; ++i)
+        chips.push_back(singleColumnChip(i == 5 ? NoHalt : Spin, 1));
+    auto batch = batchOf(chips, 2'000);
+    EXPECT_THROW(sim::runChips(batch, 4), FatalError);
+    for (const auto &chip : chips)
+        EXPECT_LE(chip->curTick(), 2'000u);
+}
 
 TEST(Fleet, StreamsMatchSoloRunsBitExactly)
 {
@@ -415,11 +595,11 @@ TEST(Fleet, ThrowingFeedAbandonsStreamWithoutDeadlockingDrain)
     EXPECT_EQ(rep2.stream_results[3].first_failure, "");
 }
 
-TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
+TEST(Fleet, MappedDdcStreamsMatchSoloRuns)
 {
     // The tentpole end-to-end: a mapped DDC fleet, each stream's
     // items golden-verified inside the fleet, then re-checked
-    // against solo SimSession::admit runs of warm-start clones.
+    // against one runChips batch of solo warm-start clones.
     apps::DdcPipelineParams p;
     p.samples = 64;
     sim::FleetConfig fc;
@@ -437,22 +617,21 @@ TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
     EXPECT_EQ(rep.items, 5u);
 
     const sim::FleetWorkload &wl = fleet.workload(w);
-    sim::SimSession session;
-    std::vector<std::pair<unsigned, std::vector<uint8_t>>> expect;
+    std::vector<std::unique_ptr<Chip>> chips;
+    std::vector<sim::ChipRun> batch;
+    std::vector<std::vector<uint8_t>> expect;
     for (const auto &s : rep.stream_results) {
         for (uint64_t i = 0; i < s.items; ++i) {
-            auto chip = fleet.templateChip(w).clone();
-            wl.feed(*chip, s.item_base + i);
-            unsigned id = session.admit(
-                sim::ChipSpec(std::move(chip))
-                    .tickLimit(wl.tick_limit));
-            expect.push_back({id, s.outputs[i]});
+            chips.push_back(fleet.templateChip(w).clone());
+            wl.feed(*chips.back(), s.item_base + i);
+            batch.push_back({chips.back().get(), wl.tick_limit, {}});
+            expect.push_back(s.outputs[i]);
         }
     }
-    auto results = session.runAll();
-    for (const auto &[id, out] : expect) {
-        EXPECT_EQ(int(results[id].exit), int(RunExit::AllHalted));
-        EXPECT_EQ(wl.read_output(session.chip(id)), out) << id;
+    sim::runChips(batch);
+    for (size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(int(batch[i].result.exit), int(RunExit::AllHalted));
+        EXPECT_EQ(wl.read_output(*chips[i]), expect[i]) << i;
     }
 }
 
